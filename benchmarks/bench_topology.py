@@ -13,12 +13,16 @@ Checks the topology layer's core guarantees:
 * a switched path is never free: for every (workload, scheme, hosts)
   cell, single-switch and two-tier runs cost strictly more time than
   flat (extra hop latency plus shared-segment queueing);
-* switching never erodes PIPM's advantage: migrating hot pages to
-  local DRAM removes traffic from the contended shared segments, so
-  PIPM's speedup over Native on a switched fabric must stay within a
-  small margin of (and typically exceeds) its flat-fabric speedup, and
-  on the graph workload PIPM keeps beating Native outright on every
-  fabric up to 16 hosts.
+* on the graph workload (``pr``), switching never erodes PIPM's
+  advantage: migrating hot pages to local DRAM removes traffic from the
+  contended shared segments, so PIPM's speedup over Native on every
+  switched preset is at least its flat-fabric speedup at the same host
+  count, and PIPM keeps beating Native outright on every fabric up to
+  16 hosts;
+* on ``ycsb``, PIPM sits within 4% of Native on every fabric, and its
+  speedup on a switched preset stays within 5% of its flat-fabric
+  speedup — switching can cost it a little (0.970x single-switch
+  against 0.975x flat at 16 hosts).
 
 Besides the text table, persists
 ``benchmarks/results/BENCH_topology.json`` with per-cell execution
@@ -137,10 +141,16 @@ def test_topology(benchmark):
     for (workload, hosts, topology), speedup in speedups.items():
         if topology != "flat":
             flat_speedup = speedups[(workload, hosts, "flat")]
-            assert speedup >= 0.95 * flat_speedup, (
-                f"switching must not erode PIPM's advantage "
-                f"({workload}/{topology}@{hosts}: {speedup:.3f}x vs "
-                f"{flat_speedup:.3f}x on flat)"
+            margin = 1.0 if workload == "pr" else 0.95
+            assert speedup >= margin * flat_speedup, (
+                f"switching must not erode PIPM's advantage beyond "
+                f"{margin:.2f}x of flat ({workload}/{topology}@{hosts}: "
+                f"{speedup:.3f}x vs {flat_speedup:.3f}x on flat)"
+            )
+        if workload == "ycsb":
+            assert abs(speedup - 1.0) <= 0.04, (
+                f"PIPM must stay within 4% of Native on ycsb "
+                f"({topology}@{hosts}: {speedup:.3f}x)"
             )
         if workload == "pr" and hosts <= 16:
             assert speedup > 1.0, (

@@ -146,6 +146,10 @@ class FaultInjector:
         schedule.sort()
         self._crash_schedule = schedule
         self._crash_idx = 0
+        #: The next unconsumed crash/rejoin epoch (inf when none remain).
+        #: A plain attribute: the loop backend compares every access's
+        #: clock against it, and only :meth:`due_crash_events` moves it.
+        self.next_crash_ns = schedule[0][0] if schedule else _INF
         self.has_crashes = bool(schedule)
         self.crashed: Set[int] = set()
         self._rejoin_at: Dict[int, float] = {
@@ -233,13 +237,6 @@ class FaultInjector:
         self.counters.recovery_ns += self.poison_penalty_ns
 
     # -- host crashes -----------------------------------------------------
-    @property
-    def next_crash_ns(self) -> float:
-        """The next unconsumed crash/rejoin epoch (inf when none remain)."""
-        if self._crash_idx >= len(self._crash_schedule):
-            return _INF
-        return self._crash_schedule[self._crash_idx][0]
-
     def due_crash_events(self, now: float) -> List[Tuple[int, bool]]:
         """``(host, is_rejoin)`` epochs due by ``now`` (consumed once)."""
         due: List[Tuple[int, bool]] = []
@@ -250,6 +247,10 @@ class FaultInjector:
             _, host, is_rejoin = schedule[self._crash_idx]
             self._crash_idx += 1
             due.append((host, is_rejoin))
+        self.next_crash_ns = (
+            schedule[self._crash_idx][0]
+            if self._crash_idx < len(schedule) else _INF
+        )
         return due
 
     def crash_resume(self, host: int, clock: float) -> Optional[float]:

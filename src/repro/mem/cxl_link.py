@@ -136,17 +136,25 @@ class CxlLink:
     ) -> float:
         """The degraded/retrying path; only runs with a fault model attached."""
         faults = self._faults
-        latency_ns = self.config.latency_ns
-        bandwidth = self.config.bandwidth_gbs
-        window = faults.window_at(now)
-        if window is not None:
-            latency_ns *= window.latency_x
-            bandwidth /= window.bandwidth_x
-        serialization = units.transfer_ns(size_bytes, bandwidth)
-        queue_delay = max(0.0, self._busy_until[direction] - now)
-        self._busy_until[direction] = (
-            max(self._busy_until[direction], now) + serialization
-        )
+        window = faults.window_at(now) if faults.windows else None
+        if window is None:
+            # The preresolved constants are the config values (and the
+            # transfer_ns denominator), so this is the fault-free timing.
+            latency_ns = self._latency_ns
+            serialization = size_bytes * 1e9 / self._bw_bytes_ns
+        else:
+            latency_ns = self.config.latency_ns * window.latency_x
+            serialization = units.transfer_ns(
+                size_bytes, self.config.bandwidth_gbs / window.bandwidth_x
+            )
+        busy_until = self._busy_until
+        busy = busy_until[direction]
+        if busy > now:
+            queue_delay = busy - now
+            busy_until[direction] = busy + serialization
+        else:
+            queue_delay = 0.0
+            busy_until[direction] = now + serialization
         # Bump the preresolved cells unconditionally, exactly like the
         # fault-free path: transfers count the same whether or not a stats
         # registry is attached and whether or not faults are configured.

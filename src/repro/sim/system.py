@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..analysis.harmful import MigrationLedger
-from ..cache.directory import SlicedDirectory
+from ..cache.directory import DirectoryEntry, SlicedDirectory
+from ..cache.sa_cache import CacheEntry
 from ..config import SystemConfig
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
@@ -96,6 +97,15 @@ class MultiHostSystem:
             Host(h, config, self.stats.scoped(f"host{h}"), workload_mlp)
             for h in range(config.num_hosts)
         ]
+        # The access path inlines dict-order LRU probes and fills of every
+        # host's TLB, L1s and LLC.  No config builds anything else; check
+        # once here so the inlines need no fallback.
+        for host in self.hosts:
+            for cache in (host.tlb._cache, *host.l1s, host.llc):
+                if not cache._lru:
+                    raise ValueError(
+                        f"{cache.name}: host caches must use LRU replacement"
+                    )
         # The fabric graph owns the per-host edge links and resolves each
         # host's route to the memory node into a path object.  Under the
         # flat preset ``paths[h] is links[h]`` (the bare CxlLink), so the
@@ -113,6 +123,13 @@ class MultiHostSystem:
             config.directory.slices,
             name="device-dir",
         )
+        # Set-resolution geometry of the device directory, read by the
+        # inlined lookups (as SlicedDirectory._set_for).
+        self._dir_arrays = self.device_dir._arrays
+        self._dir_sets = self.device_dir.sets_per_slice
+        self._dir_slices = self.device_dir.slices
+        self._dir_mask = self.device_dir._mask
+        self._dir_ways = self.device_dir.ways
         self.cxl_mem = MemoryController(
             config.cxl_dram, self.stats.scoped("cxl_mem")
         )
@@ -283,13 +300,31 @@ class MultiHostSystem:
     def access(
         self, host_id: int, core: int, addr: int, is_write: bool, now: float
     ) -> Tuple[float, int]:
-        """Service one memory access; returns ``(latency_ns, service_point)``."""
+        """Service one memory access; returns ``(latency_ns, service_point)``.
+
+        The TLB, L1 and LLC probes are inlined dict-order LRU lookups
+        (host caches are always LRU; see ``__init__``): same hit/miss
+        counts, same move-to-end on a hit.
+        """
         line = addr >> _LINE_SHIFT
         page = line >> _LINE_TO_PAGE
         host = self.hosts[host_id]
 
         shared = addr < self._cxl_end
-        lat = host.tlb.translate(page) + self._l1_ns
+        tlb = host.tlb
+        tlb_cache = tlb._cache
+        tlb_set = tlb_cache._sets[page & tlb_cache._mask]
+        tlb_entry = tlb_set.get(page)
+        if tlb_entry is not None:
+            tlb_cache.hits += 1
+            del tlb_set[page]
+            tlb_set[page] = tlb_entry
+            lat = tlb.hit_ns + self._l1_ns
+        else:
+            # Page walk (as Tlb.translate on a miss).
+            tlb_cache.misses += 1
+            tlb_cache.fill(page)
+            lat = (tlb.hit_ns + tlb.walk_ns) + self._l1_ns
 
         if self._check_poison:
             injector = self.injector
@@ -303,8 +338,12 @@ class MultiHostSystem:
                 lat += injector.poison_penalty_ns
         l1s = host.l1s
         l1 = l1s[core % len(l1s)]
-        entry = l1.lookup(line)
+        l1_set = l1._sets[line & l1._mask]
+        entry = l1_set.get(line)
         if entry is not None:
+            l1.hits += 1
+            del l1_set[line]
+            l1_set[line] = entry
             if is_write:
                 if shared and not entry.dirty and entry.state == 0:
                     # Write hit on a Shared copy: S -> M upgrade must
@@ -319,6 +358,7 @@ class MultiHostSystem:
                 entry.dirty = True
             self.svc_counts[_SVC_L1] += 1
             return lat, _SVC_L1
+        l1.misses += 1
 
         # Kernel-migrated pages are non-cacheable at *other* hosts: skip the
         # cache hierarchy entirely (Section 3.1).
@@ -331,9 +371,14 @@ class MultiHostSystem:
         else:
             loc = None
 
-        llc_entry = host.llc.lookup(line)
+        llc = host.llc
+        llc_set = llc._sets[line & llc._mask]
+        llc_entry = llc_set.get(line)
         lat += self._llc_ns
         if llc_entry is not None:
+            llc.hits += 1
+            del llc_set[line]
+            llc_set[line] = llc_entry
             if is_write and not llc_entry.dirty and llc_entry.state == 0:
                 # Upgrade an S copy: other sharers must be invalidated.
                 # simcheck: escalates[upgrade-llc-hit]
@@ -341,10 +386,10 @@ class MultiHostSystem:
                 llc_entry.state = 1
             if is_write:
                 llc_entry.dirty = True
-            self._fill_l1(host, l1, line, is_write,
-                          exclusive=llc_entry.state or 0)
+            self._fill_l1(host, l1, line, is_write, llc_entry.state or 0)
             self.svc_counts[_SVC_LLC] += 1
             return lat, _SVC_LLC
+        llc.misses += 1
 
         if not shared:
             # Host-private data (stacks, code, kernel structures).
@@ -360,7 +405,7 @@ class MultiHostSystem:
             self.svc_counts[_SVC_LOCAL] += 1
             return lat, _SVC_LOCAL
 
-        host.page_table.touch(page)
+        host.page_table._mapped.add(page)  # as PageTable.touch
 
         if self._is_pipm:
             return self._shared_pipm(host_id, l1, line, page, addr,
@@ -404,7 +449,19 @@ class MultiHostSystem:
         path = self.paths[host_id]
         lat = path.round_trip(now, CONTROL_BYTES, _CACHE_LINE)
         lat += self._ddir_ns
-        entry = self.device_dir.lookup(line)
+        # Resolve the line's directory set once: this lookup and the
+        # allocate in _dir_update both work on it, and nothing between
+        # them touches the directory.
+        device_dir = self.device_dir
+        dir_set = self._dir_arrays[
+            (line // self._dir_sets) % self._dir_slices
+        ][line & self._dir_mask]
+        device_dir.lookups += 1
+        entry = dir_set.get(line)
+        if entry is not None:
+            device_dir.hits += 1
+            del dir_set[line]
+            dir_set[line] = entry
         svc = _SVC_CXL
         if (
             entry is not None
@@ -430,38 +487,65 @@ class MultiHostSystem:
         else:
             lat += self.cxl_mem.read_line(addr, now)
 
-        new_entry = self._dir_update(host_id, line, is_write, entry, now)
+        new_entry = self._dir_update(host_id, line, is_write, entry, dir_set,
+                                     now)
         exclusive = is_write or len(new_entry.sharers) <= 1
         return lat, svc, exclusive
 
-    def _dir_update(self, host_id, line, is_write, entry, now):
+    def _dir_update(self, host_id, line, is_write, entry, dir_set, now):
+        """Make ``host_id`` a holder of ``line`` in the device directory.
+
+        ``dir_set`` is the line's resolved directory set; the allocate is
+        inlined on it (dict-order LRU, as :meth:`SlicedDirectory.allocate`).
+        A sharer loop runs, sorted, only when some sharer other than the
+        requester holds the line: ``len(sharers) > (host_id in sharers)``.
+        """
         if is_write:
             if entry is not None:
-                for sharer in sorted(entry.sharers):
-                    if sharer != host_id:
-                        self.hosts[sharer].invalidate_line(line)
-            new_entry, victim = self.device_dir.allocate(line, _M, host_id)
+                sharers = entry.sharers
+                if len(sharers) > (host_id in sharers):
+                    for sharer in sorted(sharers):
+                        if sharer != host_id:
+                            self.hosts[sharer].invalidate_line(line)
+            state, owner = _M, host_id
+        else:
+            state, owner = _S, -1
+        victim = None
+        new_entry = dir_set.get(line)
+        if new_entry is not None:
+            new_entry.state = state
+            if owner >= 0:
+                new_entry.owner = owner
+            del dir_set[line]
+            dir_set[line] = new_entry
+        else:
+            if len(dir_set) >= self._dir_ways:
+                victim = dir_set.pop(next(iter(dir_set)))
+                self.device_dir.capacity_evictions += 1
+            new_entry = DirectoryEntry(line, state, owner)
+            dir_set[line] = new_entry
+        if is_write:
             new_entry.sharers = {host_id}
         else:
-            new_entry, victim = self.device_dir.allocate(line, _S, -1)
-            if new_entry.state == _M:
-                new_entry.state = _S
             # E -> S downgrade: earlier sole holders lose exclusivity.
-            for sharer in sorted(new_entry.sharers):
-                if sharer != host_id:
-                    self._drop_exclusivity(sharer, line)
-            new_entry.sharers.add(host_id)
+            sharers = new_entry.sharers
+            if len(sharers) > (host_id in sharers):
+                for sharer in sorted(sharers):
+                    if sharer != host_id:
+                        self._drop_exclusivity(sharer, line)
+            sharers.add(host_id)
         if victim is not None:
             self._back_invalidate(victim, now)
         return new_entry
 
     def _drop_exclusivity(self, host_id: int, line: int) -> None:
         host = self.hosts[host_id]
-        entry = host.llc.peek(line)
+        llc = host.llc
+        entry = llc._sets[line & llc._mask].get(line)
         if entry is not None:
             entry.state = 0
         for l1 in host.l1s:
-            l1_entry = l1.peek(line)
+            l1_entry = l1._sets[line & l1._mask].get(line)
             if l1_entry is not None:
                 l1_entry.state = 0
 
@@ -652,7 +736,8 @@ class MultiHostSystem:
                     else:
                         lat += owner_host.local_mem.read_line(addr, now)
                     self.cxl_mem.write_line(addr, now)  # async migrate-back
-                    self._dir_update(host_id, line, is_write, None, now)
+                    self._dir_update(host_id, line, is_write, None,
+                                     self.device_dir._set_for(line), now)
                     self._fill(host, l1, line, page, is_write, exclusive=True,
                                now=now)
                     self.svc_counts[_SVC_INTER] += 1
@@ -774,21 +859,70 @@ class MultiHostSystem:
     # ------------------------------------------------------------------
     # Cache fills and evictions
     # ------------------------------------------------------------------
+    # Fills are inlined dict-order LRU fills (as SetAssocCache.fill): a
+    # resident line merges dirty, takes the new state and moves to the
+    # MRU end; otherwise a full set evicts its first key.
     def _fill_l1(self, host: Host, l1, line: int, is_write: bool,
                  exclusive: int = 1) -> None:
-        victim = l1.fill(line, dirty=is_write, state=exclusive)
-        if victim is not None and victim.dirty:
-            llc_entry = host.llc.peek(victim.line)
-            if llc_entry is not None:
-                llc_entry.dirty = True
+        cache_set = l1._sets[line & l1._mask]
+        entry = cache_set.get(line)
+        if entry is not None:
+            entry.dirty = entry.dirty or is_write
+            entry.state = exclusive
+            del cache_set[line]
+            cache_set[line] = entry
+            return
+        if len(cache_set) >= l1.ways:
+            victim = cache_set.pop(next(iter(cache_set)))
+            l1.evictions += 1
+            if victim.dirty:
+                llc = host.llc
+                vline = victim.line
+                llc_entry = llc._sets[vline & llc._mask].get(vline)
+                if llc_entry is not None:
+                    llc_entry.dirty = True
+        cache_set[line] = CacheEntry(line, is_write, exclusive)
 
     def _fill(
         self, host: Host, l1, line: int, page: int, is_write: bool,
         exclusive: bool, now: float,
     ) -> None:
-        self._fill_l1(host, l1, line, is_write, exclusive=1 if exclusive else 0)
-        victim = host.llc.fill(line, dirty=is_write,
-                               state=1 if exclusive else 0)
+        state = 1 if exclusive else 0
+        llc = host.llc
+        llc_sets = llc._sets
+        llc_mask = llc._mask
+        # The L1 fill, as _fill_l1 (inlined: one fewer call per miss).
+        cache_set = l1._sets[line & l1._mask]
+        entry = cache_set.get(line)
+        if entry is not None:
+            entry.dirty = entry.dirty or is_write
+            entry.state = state
+            del cache_set[line]
+            cache_set[line] = entry
+        else:
+            if len(cache_set) >= l1.ways:
+                victim = cache_set.pop(next(iter(cache_set)))
+                l1.evictions += 1
+                if victim.dirty:
+                    vline = victim.line
+                    llc_entry = llc_sets[vline & llc_mask].get(vline)
+                    if llc_entry is not None:
+                        llc_entry.dirty = True
+            cache_set[line] = CacheEntry(line, is_write, state)
+        # Then the LLC; its victim leaves through _handle_llc_eviction.
+        cache_set = llc_sets[line & llc_mask]
+        entry = cache_set.get(line)
+        if entry is not None:
+            entry.dirty = entry.dirty or is_write
+            entry.state = state
+            del cache_set[line]
+            cache_set[line] = entry
+            return
+        victim = None
+        if len(cache_set) >= llc.ways:
+            victim = cache_set.pop(next(iter(cache_set)))
+            llc.evictions += 1
+        cache_set[line] = CacheEntry(line, is_write, state)
         if victim is not None:
             self._handle_llc_eviction(host, victim, now)
 
@@ -818,7 +952,9 @@ class MultiHostSystem:
                     host.host_id, entry, line & _LINES_MASK
                 )
                 host.local_mem.write_line(addr, now)
-                self.device_dir.remove(line)
+                self._dir_arrays[(line // self._dir_sets) % self._dir_slices][
+                    line & self._dir_mask
+                ].pop(line, None)
                 self._track_engine_lines(host.host_id)
                 return
 
@@ -833,14 +969,17 @@ class MultiHostSystem:
             self.paths[host.host_id].transfer(TO_DEVICE, now, _CACHE_LINE)
             self.cxl_mem.write_line(addr, now)
         # Update device directory bookkeeping.
-        entry = self.device_dir.peek(line)
+        dir_set = self._dir_arrays[(line // self._dir_sets) % self._dir_slices][
+            line & self._dir_mask
+        ]
+        entry = dir_set.get(line)
         if entry is not None:
             entry.sharers.discard(host.host_id)
             if entry.owner == host.host_id:
                 entry.owner = -1
                 entry.state = _S if entry.sharers else _I
             if not entry.sharers:
-                self.device_dir.remove(line)
+                del dir_set[line]
 
     def _track_engine_lines(self, host: int) -> None:
         lines = self.engine.local_tables[host].migrated_line_total()

@@ -5,14 +5,19 @@ between the fault-free and faulted transfer paths."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from repro import units
-from repro.config import FabricConfig, FaultConfig, SystemConfig
-from repro.faults.injector import FaultCounters, LinkFaultModel
+from repro.config import CxlLinkConfig, FabricConfig, FaultConfig, SystemConfig
+from repro.faults.injector import (
+    FaultCounters,
+    FaultInjector,
+    LinkFaultModel,
+)
 from repro.faults.plan import FaultPlan, LinkDegradeWindow
-from repro.mem.cxl_link import TO_DEVICE, TO_HOST, CxlLink
+from repro.mem.cxl_link import CONTROL_BYTES, TO_DEVICE, TO_HOST, CxlLink
 from repro.mem.fabric import (
     FabricSegment,
     FabricTopology,
@@ -187,6 +192,200 @@ class TestSwitchedPath:
         )
         path.reset()
         assert path.occupancy_until(TO_DEVICE) == 0.0
+
+
+# ======================================================================
+# Fused path timing vs the composed link + segment calls
+# ======================================================================
+def _composed_transfer(path, direction, now, size):
+    """Reference leg: ``CxlLink.transfer`` + ``FabricSegment.transfer``."""
+    if direction == TO_DEVICE:
+        lat = path.edge.transfer(direction, now, size)
+        for seg in path.segments:
+            lat += seg.transfer(direction, now + lat, size)
+        return lat
+    lat = 0.0
+    for seg in reversed(path.segments):
+        lat += seg.transfer(direction, now + lat, size)
+    return lat + path.edge.transfer(direction, now + lat, size)
+
+
+def _composed_round_trip(path, now, request, response):
+    out = _composed_transfer(path, TO_DEVICE, now, request)
+    back = _composed_transfer(path, TO_HOST, now + out, response)
+    return out + back
+
+
+def _hop_state(topo):
+    """Queue state and counters of every edge link and segment."""
+    return [
+        (hop._busy_until, hop._messages.value, hop._bytes.value,
+         hop._queue_ns.value)
+        for hop in (*topo.links, *topo.segments)
+    ]
+
+
+class TestFusedPathTiming:
+    """The fused ``round_trip``/``transfer`` must equal the composed calls
+    bit for bit: returned floats, ``_busy_until`` and every counter."""
+
+    #: (host, op, now, sizes): a burst from several hosts at overlapping
+    #: times, so the shared segments queue in both directions.
+    OPS = (
+        (0, "rt", 0.0, (CONTROL_BYTES, units.CACHE_LINE)),
+        (1, "rt", 0.0, (CONTROL_BYTES, units.CACHE_LINE)),
+        (5, "rt", 3.0, (CONTROL_BYTES, CONTROL_BYTES)),
+        (2, "out", 4.0, 4096),
+        (2, "out", 4.0, 4096),  # queues behind itself on the edge link
+        (7, "rt", 4.5, (units.CACHE_LINE, units.CACHE_LINE)),
+        (3, "back", 5.0, 4096),
+        (3, "back", 5.0, 256),
+        (0, "out", 6.0, units.CACHE_LINE),
+        (6, "rt", 6.0, (CONTROL_BYTES, units.CACHE_LINE)),
+        (4, "back", 400.0, units.CACHE_LINE),
+        (1, "rt", 401.0, (CONTROL_BYTES, units.CACHE_LINE)),
+    )
+
+    #: Latencies and bandwidths whose sums round differently under a
+    #: changed association (the defaults are too round to show it).
+    ODD_LINK = CxlLinkConfig(latency_ns=37.3, bandwidth_gbs=4.7)
+    ODD_FABRIC = (
+        "switch-latency-ns=23.3,switch-port-bandwidth-gbs=17.9,"
+        "uplink-latency-ns=9.1,uplink-bandwidth-gbs=13.3"
+    )
+
+    def _twins(self, preset, hosts=8, odd=False):
+        if not odd:
+            return _topology(preset, hosts), _topology(preset, hosts)
+        sep = "," if ":" in preset else ":"
+        fabric = FabricConfig.parse(f"{preset}{sep}{self.ODD_FABRIC}")
+        return tuple(
+            FabricTopology(fabric, self.ODD_LINK, hosts) for _ in range(2)
+        )
+
+    #: Two hosts behind one leaf plus one behind another.
+    RANDOM_HOSTS = (0, 1, 5)
+
+    @staticmethod
+    def _random_ops(seed, count=3000, hosts=RANDOM_HOSTS):
+        """A seeded burst after ``OPS``: odd times and sizes, and few
+        enough hosts that edges and segments all queue."""
+        rng = random.Random(seed)
+        sizes = (CONTROL_BYTES, units.CACHE_LINE, 256, 4096)
+        now, ops = 1000.0, []
+        for _ in range(count):
+            now += rng.random() * 250.0
+            op = rng.choice(("rt", "rt", "out", "back"))
+            if op == "rt":
+                size = (rng.choice(sizes), rng.choice(sizes))
+            else:
+                size = rng.choice(sizes)
+            ops.append((rng.choice(hosts), op, now, size))
+        return tuple(ops)
+
+    def _replay(self, fused, composed, ops=OPS):
+        for host, op, now, sizes in ops:
+            path, ref = fused.paths[host], composed.paths[host]
+            if op == "rt":
+                got = path.round_trip(now, *sizes)
+                want = _composed_round_trip(ref, now, *sizes)
+            else:
+                direction = TO_DEVICE if op == "out" else TO_HOST
+                got = path.transfer(direction, now, sizes)
+                want = _composed_transfer(ref, direction, now, sizes)
+            assert got == want, (host, op, now)
+            assert _hop_state(fused) == _hop_state(composed), (host, op)
+
+    @pytest.mark.parametrize(
+        "preset", ["single-switch", "two-tier:hosts-per-leaf=4"]
+    )
+    def test_matches_composed_calls(self, preset):
+        fused, composed = self._twins(preset, odd=True)
+        self._replay(fused, composed)
+        self._replay(fused, composed, self._random_ops(seed=3))
+        # The random burst queued on every hop it crossed.
+        busy_links = [fused.links[h] for h in self.RANDOM_HOSTS]
+        assert all(
+            hop._queue_ns.value > 0 for hop in (*busy_links, *fused.segments)
+        )
+
+    def _clean_legs(self):
+        """Unloaded single-switch times: the request reaching the port,
+        the request delivered, and the whole round trip."""
+        clean = _topology("single-switch", 8)
+        edge = clean.links[0].transfer(TO_DEVICE, 0.0, CONTROL_BYTES)
+        clean.reset()
+        out = _composed_transfer(clean.paths[0], TO_DEVICE, 0.0,
+                                 CONTROL_BYTES)
+        clean.reset()
+        rtt = clean.paths[0].round_trip(0.0, CONTROL_BYTES, units.CACHE_LINE)
+        return edge, out, rtt
+
+    def _switchdown_round_trip(self, start, end, preset="single-switch",
+                               switch=0):
+        fused, composed = self._twins(preset)
+        for topo in (fused, composed):
+            topo.apply_switch_down(switch, start, end, 4.0, 4.0)
+        got = fused.paths[0].round_trip(0.0, CONTROL_BYTES, units.CACHE_LINE)
+        want = _composed_round_trip(composed.paths[0], 0.0, CONTROL_BYTES,
+                                    units.CACHE_LINE)
+        assert got == want
+        assert _hop_state(fused) == _hop_state(composed)
+        return got, fused, composed
+
+    def test_switchdown_window_opening_between_the_legs(self):
+        edge, out, rtt = self._clean_legs()
+        # The request reaches the switch port at ``edge`` (before the
+        # window); the response reaches it at ``out`` (inside).
+        got, fused, composed = self._switchdown_round_trip(out, 1e9)
+        port = fused.segments[0]
+        assert not port.degraded_at(edge) and port.degraded_at(out)
+        assert got > rtt
+        self._replay(fused, composed, self._random_ops(seed=4))
+
+    def test_switchdown_window_closing_before_the_request_arrives(self):
+        """The window is tested when the flight reaches the port, not
+        when the round trip (or the one-way transfer) starts."""
+        edge, out, rtt = self._clean_legs()
+        got, fused, composed = self._switchdown_round_trip(0.0, edge)
+        assert got == rtt
+        fused.reset()
+        composed.reset()
+        got = fused.paths[0].transfer(TO_DEVICE, 0.0, CONTROL_BYTES)
+        assert got == out == _composed_transfer(
+            composed.paths[0], TO_DEVICE, 0.0, CONTROL_BYTES
+        )
+
+    def test_switchdown_window_opening_mid_response_leg(self):
+        """Two-tier: host 0's response crosses the spine port, then its
+        leaf uplink; a leaf window opening in between slows only the
+        second hop."""
+        preset = "two-tier:hosts-per-leaf=4"
+        clean = _topology(preset, 8)
+        out = _composed_transfer(clean.paths[0], TO_DEVICE, 0.0,
+                                 CONTROL_BYTES)
+        spine = clean.segments[-1].transfer(TO_HOST, out, units.CACHE_LINE)
+        clean.reset()
+        rtt = clean.paths[0].round_trip(0.0, CONTROL_BYTES, units.CACHE_LINE)
+        got, _, _ = self._switchdown_round_trip(
+            out + spine / 2, 1e9, preset, switch=0
+        )
+        assert got > rtt
+
+    def test_faulted_edge_falls_back_to_composed_calls(self):
+        fused, composed = self._twins("two-tier:hosts-per-leaf=4")
+        plan = FaultPlan.from_config(
+            FaultConfig.parse("degraded:transfer-error-rate=0.3,seed=5"),
+            8, 4096,
+        )
+        twins = FaultInjector(plan), FaultInjector(plan)
+        for topo, injector in zip((fused, composed), twins):
+            for h, link in enumerate(topo.links):
+                link.attach_faults(injector.link(h))
+        assert fused.links[0]._faults is not None
+        self._replay(fused, composed, self._random_ops(seed=5))
+        assert twins[0].counters == twins[1].counters
+        assert twins[0].counters.link_retries > 0
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ from repro.config import CxlLinkConfig, DramConfig
 from repro.mem.controller import MemoryController
 from repro.mem.cxl_link import CONTROL_BYTES, TO_DEVICE, TO_HOST, CxlLink
 from repro.mem.dram import DramChannel, DramPool
+from repro.stats import StatRegistry
 
 
 @pytest.fixture()
@@ -111,3 +112,58 @@ class TestMemoryController:
         mc.reset()
         page = mc.transfer_page(0, 0.0)
         assert page > line
+
+
+class TestControllerLineInline:
+    """``read_line``/``write_line`` run DramChannel.access's cache-line
+    arithmetic inline; they must match it bit for bit."""
+
+    def _twins(self):
+        cfg = DramConfig(1 * units.GB, 2, 38.4)
+        fast, ref = StatRegistry(), StatRegistry()
+        mc = MemoryController(cfg, fast.scoped("mem"))
+        pool = DramPool(cfg, ref.scoped("mem"))
+        return mc, pool, fast, ref
+
+    def _check(self, ops):
+        mc, pool, fast, ref = self._twins()
+        for method, addr, now in ops:
+            got = getattr(mc, method)(addr, now)
+            want = pool.channels[
+                (addr >> units.PAGE_SHIFT) % len(pool.channels)
+            ].access(addr, now, units.CACHE_LINE)
+            assert got == want, (method, addr, now)
+            for mine, theirs in zip(mc.pool.channels, pool.channels):
+                assert mine._busy_until == theirs._busy_until
+                assert mine._open_rows == theirs._open_rows
+        assert fast.snapshot() == ref.snapshot()
+        return fast.snapshot()
+
+    def test_row_miss_then_row_hit(self):
+        stats = self._check([
+            ("read_line", 0, 0.0),
+            ("write_line", units.CACHE_LINE, 1000.0),
+        ])
+        assert stats["mem.ch0.row_misses"] == 1
+        assert stats["mem.ch0.row_hits"] == 1
+
+    def test_row_conflict_on_both_channels(self):
+        row = DramConfig(1 * units.GB, 2, 38.4).row_bytes
+        banks = DramConfig(1 * units.GB, 2, 38.4).banks_per_channel
+        stats = self._check([
+            ("read_line", 0, 0.0),
+            ("read_line", units.PAGE_SIZE, 10.0),  # channel 1
+            ("write_line", row * banks, 2000.0),  # same bank, new row
+            ("read_line", 0, 4000.0),
+        ])
+        assert stats["mem.ch0.row_misses"] == 3
+        assert stats["mem.ch1.accesses"] == 1
+
+    def test_queued_channel(self):
+        stats = self._check([
+            ("read_line", 0, 0.0),
+            ("write_line", units.CACHE_LINE, 0.0),
+            ("read_line", 2 * units.CACHE_LINE, 0.5),
+            ("read_line", units.PAGE_SIZE, 0.0),
+        ])
+        assert stats["mem.ch0.queue_ns"] > 0

@@ -19,7 +19,42 @@ def make_system(cfg, scheme_name, **kw) -> MultiHostSystem:
                            **kw)
 
 
+def test_non_lru_host_cache_rejected(cfg, monkeypatch):
+    """The access path inlines LRU probes, so construction refuses any
+    other replacement policy in a host cache."""
+    import repro.host.host as host_module
+    from repro.cache.replacement import SrripPolicy
+    from repro.cache.sa_cache import SetAssocCache
+
+    real = host_module.cache_from_geometry
+
+    def srrip_llc(size_bytes, ways, line_bytes=64, name="cache"):
+        cache = real(size_bytes, ways, line_bytes, name)
+        if not name.endswith(".llc"):
+            return cache
+        return SetAssocCache(cache.num_sets, cache.ways,
+                             policy=SrripPolicy(), name=name)
+
+    monkeypatch.setattr(host_module, "cache_from_geometry", srrip_llc)
+    with pytest.raises(ValueError, match="h0.llc: host caches must use LRU"):
+        make_system(cfg, "native")
+
+
 class TestCacheFrontEnd:
+    def test_inlined_probes_count_like_lookup(self, cfg):
+        """access() probes the TLB/L1/LLC set dicts directly; the hit
+        and miss counters must still read as SetAssocCache.lookup's."""
+        system = make_system(cfg, "native")
+        host = system.hosts[0]
+        system.access(0, 0, 0x1000, False, 0.0)  # all three miss
+        system.access(0, 0, 0x1000, False, 100.0)  # TLB + L1 hit
+        system.access(0, 1, 0x1000, False, 200.0)  # other core: LLC hit
+        tlb = host.tlb._cache
+        assert (tlb.hits, tlb.misses) == (2, 1)
+        assert (host.l1s[0].hits, host.l1s[0].misses) == (1, 1)
+        assert (host.l1s[1].hits, host.l1s[1].misses) == (0, 1)
+        assert (host.llc.hits, host.llc.misses) == (1, 1)
+
     def test_l1_hit_after_fill(self, cfg):
         system = make_system(cfg, "native")
         lat1, svc1 = system.access(0, 0, 0x1000, False, 0.0)
