@@ -35,7 +35,6 @@ from . import __version__
 from .analysis.report import format_fault_report, format_table
 from .coherence import BaseCxlDsmModel, ModelChecker, PipmModel
 from .config import FabricConfig, FaultConfig, SystemConfig
-from .sim.engine import BACKENDS
 from .sim.harness import DEFAULT_SCHEMES, compare_schemes, run_experiment
 from .units import pretty_size, pretty_time
 from .workloads import WorkloadScale, workload_names
@@ -248,9 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--scale", default="small", choices=_SCALES)
     profile.add_argument("--hosts", type=int, default=4)
     profile.add_argument(
-        "--backend", default="loop", choices=BACKENDS,
-        help="engine backend to time: the reference per-access loop or "
-             "the flattened/batched vector fast path (default: loop)",
+        "--no-fast-lane", dest="fast_lane", action="store_false",
+        help="time the engine with every host's fast lane off, so every "
+             "access takes the serialized slow path (the reference)",
     )
     profile.add_argument(
         "--repeats", type=int, default=1,
@@ -592,10 +591,10 @@ def _cmd_profile(args) -> int:
     profiler = cProfile.Profile() if args.cprofile else None
     print(f"profile: {len(cases)} case(s), scale {args.scale}, "
           f"{args.hosts} hosts, {args.repeats} repeat(s), "
-          f"{args.backend} backend")
+          f"fast lane {'on' if args.fast_lane else 'off'}")
     result = run_microbench(
         scale=args.scale, cases=cases, config=cfg,
-        repeats=args.repeats, profiler=profiler, backend=args.backend,
+        repeats=args.repeats, profiler=profiler, fast_lane=args.fast_lane,
     )
     for case in result.cases:
         print(f"  {case.key:<16} {case.accesses:>9} accesses  "

@@ -147,8 +147,9 @@ class FaultInjector:
         self._crash_schedule = schedule
         self._crash_idx = 0
         #: The next unconsumed crash/rejoin epoch (inf when none remain).
-        #: A plain attribute: the loop backend compares every access's
-        #: clock against it, and only :meth:`due_crash_events` moves it.
+        #: A plain attribute: the engine's slow path compares every
+        #: access's clock against it (via ``MultiHostSystem.maybe_crash``),
+        #: and only :meth:`due_crash_events` moves it.
         self.next_crash_ns = schedule[0][0] if schedule else _INF
         self.has_crashes = bool(schedule)
         self.crashed: Set[int] = set()
@@ -268,13 +269,12 @@ class FaultInjector:
         return rejoin if clock < rejoin else None
 
     def crash_fence(self, clock: float) -> float:
-        """Event bound for batched execution under a crash plan.
+        """Event bound for the engine's fast lane under a crash plan.
 
         Before the next crash/rejoin epoch the fence is that epoch, so no
-        batch crosses it.  While the governor holds promotions suspended
-        the fence is 0.0 — forcing every access through the slow path,
-        where the governor's per-access suppression applies identically
-        in both backends.
+        lane run crosses it.  While the governor holds promotions
+        suspended the fence is 0.0 — forcing every access through the slow
+        path, where the governor's per-access suppression applies.
         """
         if clock < self._suspended_until:
             return 0.0

@@ -6,31 +6,26 @@ state — device directory, remapping tables, votes, migration intervals —
 observes accesses in a globally consistent order, the multi-host analogue
 of the paper's trace-replay methodology (Section 5.1.2).
 
-Two run backends share that contract and produce byte-identical
-:class:`SimulationResult` records (see DESIGN.md, "The two-phase engine"):
-
-* ``loop`` — the reference: one access at a time through
-  :meth:`MultiHostSystem.access`.
-* ``vector`` — a two-phase fast path over the structure-of-arrays baked
-  streams.  Runs of *guaranteed-private L1 hits* (resident line, no
-  S->M upgrade risk, no tick/audit/fault boundary crossed, host still the
-  earliest runnable) are resolved inline and, past a run-length threshold,
-  as array operations against :class:`SetAssocCache` set state.  L1
-  misses that cannot escalate into a cross-host transaction go through a
-  per-host *flattened* miss path (:func:`_make_flat_path`) — the same
-  classify-then-execute two-phase discipline, with constant-folded
-  zero-queue latencies and deferred integer statistics.  Every
-  coherence-visible event — an escalating miss, an upgrade-risky write,
-  an interval tick, a watchdog audit, a fault window, a poisoned line —
-  is funneled through the existing slow path unchanged, in the exact
-  global order the loop backend would produce.
+One run loop serves every configuration (see DESIGN.md, "The engine and
+its fast lane").  At each heap turn the host runs its *fast lane* when it
+has one: L1 hits that stay private to the host (resident line, no S->M
+upgrade) resolve inline, and L1 misses that cannot escalate into a
+cross-host transaction go through a per-host flattened miss path
+(:func:`_make_flat_path`) that classifies with pure reads, then executes
+the slow path's mutations in the slow path's order.  The lane keeps going
+while its host still holds the earliest heap turn and no armed event
+(interval tick, watchdog audit, poison arrival, stall window, crash
+epoch) comes due.  Everything else — a host without a lane, a lane bail,
+an event boundary — is one access through :meth:`MultiHostSystem.access`,
+the serialized slow path.  Records are byte-identical with the lane on or
+off; ``fast_lane=False`` is the reference that tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,12 +33,12 @@ from .. import units
 from ..cache.directory import DirectoryEntry
 from ..cache.sa_cache import CacheEntry
 from ..config import SystemConfig
-from ..mem.cxl_link import CONTROL_BYTES
+from ..mem.cxl_link import CONTROL_BYTES, TO_DEVICE
 from ..pipm.remap_cache import RemapCache
 from ..pipm.remap_global import NO_HOST, GlobalRemapEntry
 from ..pipm.remap_local import LEAF_ENTRIES
 from ..policies.base import MigrationScheme
-from ..workloads.trace import BakedStream, WorkloadTrace
+from ..workloads.trace import WorkloadTrace
 from .results import ServicePoint, SimulationResult
 from .system import MultiHostSystem
 
@@ -67,18 +62,7 @@ _M = 3
 _ROOT_PTRS_PER_LINE = units.CACHE_LINE // 8
 
 _CONTROL_BYTES = CONTROL_BYTES
-
-#: Run backends accepted by :class:`SimulationEngine`.
-BACKENDS = ("loop", "vector")
-
-#: Consecutive inline fast-path hits before the vector backend switches a
-#: burst to array mode.  Array setup (mirror snapshots + membership math)
-#: costs tens of microseconds, so it only pays on long private runs; short
-#: bursts stay on the inline scalar path, which costs nothing extra.
-_ARRAY_THRESHOLD = 96
-
-#: Accesses examined per array-mode probe window.
-_ARRAY_WINDOW = 1 << 16
+_TO_DEVICE = TO_DEVICE
 
 
 def _make_dram_path(pool):
@@ -154,17 +138,17 @@ def _make_dram_path(pool):
 
 
 def _make_flat_path(system, host_id, stall_by_service):
-    """Build one host's flat fast path for L1-missing accesses.
+    """Build one host's fast lane for L1-missing accesses.
 
     Returns ``(flat, flush)`` where ``flat(l1, cache_set, addr, line,
     is_write, now)`` resolves one access end to end — classification,
     latency, cache/directory mutations, service/stall accounting — and
     returns the host's new clock, or ``None`` when the access must go
     through the serialized slow path.  The factory itself returns ``None``
-    when the system configuration rules the flat path out (active fault
-    disruption, a switched fabric topology whose shared segments contend
-    across hosts, HW-static PIPM, infinite remap caches, or any non-LRU
-    replacement policy: the inline paths replicate dict-order LRU).
+    (the host gets no lane) when the configuration rules the lane out:
+    a fault plan that can disrupt transfers, HW-static PIPM, infinite
+    remap caches, or any non-LRU replacement policy (the inline paths
+    replicate dict-order LRU).
 
     The closure replicates :meth:`MultiHostSystem.access` for every flow
     that cannot escalate into a cross-host transaction, in two phases:
@@ -176,36 +160,41 @@ def _make_flat_path(system, host_id, stall_by_service):
     S->M upgrade on a cached copy, a PIPM promotion crossing the vote
     threshold — bail to the slow path.
 
+    Shared state (the directory, remap tables, other hosts' caches, link
+    and switch queues) is read live at each access, never snapshotted:
+    the caller runs the lane only while this host holds the earliest heap
+    turn, so the lane sees exactly the state the slow path would see at
+    that point of the global order.  That holds on switched fabrics too,
+    where the CXL round trip and a dirty LLC victim's writeback call the
+    host's real :class:`~repro.mem.fabric.SwitchedPath` (shared segments,
+    degrade windows and their counters included).  Only on the flat
+    preset, where ``paths[h] is links[h]``, is the link arithmetic
+    inlined below.
+
     Three mechanical liberties keep the hot path short without touching
     observable results:
 
     * zero-queue link/DRAM latencies fold to precomputed constants
       (IEEE-754: adding ``0.0`` to a positive float is identity, so the
       constant equals the runtime sum bit for bit);
-    * integer statistics (hit/miss/eviction counters, link message/byte
-      totals) accumulate in closure cells that ``flush()`` folds back in
-      — every concurrent writer only increments, and nothing reads them
-      until records are collected, so the deferral commutes.  Float
-      accumulators (queue ns, stall ns, ledger benefit) stay live because
-      float addition order is observable;
+    * integer statistics (hit/miss/eviction counters, flat-link
+      message/byte totals) accumulate in closure cells that ``flush()``
+      folds back in — every concurrent writer only increments, and
+      nothing reads them until records are collected, so the deferral
+      commutes.  Float accumulators (queue ns, stall ns, ledger benefit)
+      stay live because float addition order is observable;
     * evicted ``CacheEntry``/``DirectoryEntry`` objects are recycled as
       the incoming fill (stamps are dead under dict-order LRU, and
       nothing compares entry identity), skipping the allocation.
 
-    Caller contract (enforced by ``_run_vector``): the L1 missed,
-    ``cache_set`` is the probed L1 set dict for ``line``, the line is not
-    poisoned, ``now`` is below every armed event bound (interval tick,
-    watchdog audit, poison arrival, stall window), and this host still
-    holds the earliest heap turn.
+    Caller contract (enforced by :meth:`SimulationEngine.run`): the L1
+    missed, ``cache_set`` is the probed L1 set dict for ``line``, the line
+    is not poisoned, ``now`` is below every armed event bound (interval
+    tick, watchdog audit, poison arrival, stall window, crash epoch), and
+    this host still holds the earliest heap turn.
     """
     if system._faults_on:
         return None  # simcheck: bails[faults-active]
-    if system.paths[host_id] is not system.links[host_id]:
-        # Switched fabric: the path crosses shared segments that other
-        # hosts contend on at any moment (and that may run degraded under
-        # a switchdown window), so per-host flattening is unsound — every
-        # miss takes the serialized slow path.
-        return None  # simcheck: bails[switched-path]
     is_pipm = system._is_pipm
     is_page_map = system._is_page_map
     all_local = system.all_local
@@ -264,7 +253,17 @@ def _make_flat_path(system, host_id, stall_by_service):
     dram_local, flush_local = _make_dram_path(host.local_mem.pool)
     dram_cxl, flush_cxl = _make_dram_path(system.cxl_mem.pool)
 
+    # Flat preset: the path is the edge link itself, whose two legs fold
+    # to the inline arithmetic below with deferred message/byte counts
+    # (cheaper than a round_trip call per miss).  A switched path's
+    # segments carry their own degrade windows and live counters, so the
+    # lane calls the path's own methods, exactly as _cxl_access and
+    # _handle_llc_eviction do.
+    path = system.paths[host_id]
     link = system.links[host_id]
+    folded = path is link
+    round_trip = path.round_trip
+    path_transfer = path.transfer
     link_busy = link._busy_until
     link_lat = link._latency_ns
     link_msgs = link._messages
@@ -593,37 +592,46 @@ def _make_flat_path(system, host_id, stall_by_service):
 
             if flow != 2:
                 # ---- plain cacheable CXL access (_cxl_access) ----
-                # Both bandwidth-server legs collapse to constants when
-                # their queues are empty (the common case).
-                b0 = link_busy[0]
-                if b0 > now:
-                    qd = b0 - now
-                    link_busy[0] = b0 + ser_ctrl
-                    link_qns.value += qd
-                    out = link_lat + qd + ser_ctrl
-                    then = now + out
-                    b1 = link_busy[1]
-                    if b1 > then:
-                        qd = b1 - then
-                        link_busy[1] = b1 + ser_line
+                if folded:
+                    # Both bandwidth-server legs collapse to constants
+                    # when their queues are empty (the common case).
+                    b0 = link_busy[0]
+                    if b0 > now:
+                        qd = b0 - now
+                        link_busy[0] = b0 + ser_ctrl
                         link_qns.value += qd
-                        extra = (out + (link_lat + qd + ser_line)) + ddir_ns
+                        out = link_lat + qd + ser_ctrl
+                        then = now + out
+                        b1 = link_busy[1]
+                        if b1 > then:
+                            qd = b1 - then
+                            link_busy[1] = b1 + ser_line
+                            link_qns.value += qd
+                            extra = (
+                                (out + (link_lat + qd + ser_line)) + ddir_ns
+                            )
+                        else:
+                            link_busy[1] = then + ser_line
+                            extra = (out + in0) + ddir_ns
                     else:
-                        link_busy[1] = then + ser_line
-                        extra = (out + in0) + ddir_ns
+                        link_busy[0] = now + ser_ctrl
+                        then = now + out0
+                        b1 = link_busy[1]
+                        if b1 > then:
+                            qd = b1 - then
+                            link_busy[1] = b1 + ser_line
+                            link_qns.value += qd
+                            extra = (
+                                (out0 + (link_lat + qd + ser_line)) + ddir_ns
+                            )
+                        else:
+                            link_busy[1] = then + ser_line
+                            extra = rt0
+                    rt_n += 1
                 else:
-                    link_busy[0] = now + ser_ctrl
-                    then = now + out0
-                    b1 = link_busy[1]
-                    if b1 > then:
-                        qd = b1 - then
-                        link_busy[1] = b1 + ser_line
-                        link_qns.value += qd
-                        extra = (out0 + (link_lat + qd + ser_line)) + ddir_ns
-                    else:
-                        link_busy[1] = then + ser_line
-                        extra = rt0
-                rt_n += 1
+                    extra = (
+                        round_trip(now, _CONTROL_BYTES, _CACHE_LINE) + ddir_ns
+                    )
                 d_l += 1
                 if dentry is not None:
                     d_h += 1
@@ -774,15 +782,18 @@ def _make_flat_path(system, host_id, stall_by_service):
                         handled = True
                 if not handled:
                     if vdirty:
-                        # link.transfer(TO_DEVICE) + CXL writeback.
-                        b0 = link_busy[0]
-                        if b0 > now:
-                            qd = b0 - now
-                            link_busy[0] = b0 + ser_line
-                            link_qns.value += qd
+                        # path.transfer(TO_DEVICE) + CXL writeback.
+                        if folded:
+                            b0 = link_busy[0]
+                            if b0 > now:
+                                qd = b0 - now
+                                link_busy[0] = b0 + ser_line
+                                link_qns.value += qd
+                            else:
+                                link_busy[0] = now + ser_line
+                            wb_n += 1
                         else:
-                            link_busy[0] = now + ser_line
-                        wb_n += 1
+                            path_transfer(_TO_DEVICE, now, _CACHE_LINE)
                         dram_cxl(vaddr, now)
                     vset = dir_arrays[(vline // dir_sps) % dir_slices][
                         vline & dir_mask
@@ -810,18 +821,19 @@ def _make_flat_path(system, host_id, stall_by_service):
 
 
 class SimulationEngine:
-    """Runs one workload trace through one system configuration."""
+    """Runs one workload trace through one system configuration.
+
+    ``fast_lane=False`` turns every host's fast lane off, so every access
+    takes the serialized slow path: the reference the lane is tested
+    against.  Results are byte-identical either way.
+    """
 
     def __init__(
         self,
         system: MultiHostSystem,
         trace: WorkloadTrace,
-        backend: str = "loop",
+        fast_lane: bool = True,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {backend!r}; choose from {BACKENDS}"
-            )
         if trace.num_hosts != system.config.num_hosts:
             raise ValueError(
                 f"trace has {trace.num_hosts} hosts, system has "
@@ -829,14 +841,12 @@ class SimulationEngine:
             )
         self.system = system
         self.trace = trace
-        self.backend = backend
-        # Bake the per-host streams once: the SoA arrays feed the vector
-        # backend's batch math, their ``records()`` view feeds the loop
-        # backend (and the vector backend's serialized slow path), and the
-        # stream-wide sanity checks below run as array reductions instead
-        # of per-record Python loops.
+        self.fast_lane = fast_lane
+        # Bake the per-host streams once into run-loop records; the SoA
+        # arrays serve the stream-wide sanity checks below as array
+        # reductions and are dropped once they pass.
         total = 0
-        self._baked: List[BakedStream] = []
+        addr_arrays = []
         self._run_streams = []
         self._instr_totals = []
         for host_id, stream in enumerate(trace.streams):
@@ -851,11 +861,9 @@ class SimulationEngine:
                     f"({stream[index][0]} ns); simulated time cannot run "
                     f"backwards"
                 )
-            self._baked.append(baked)
+            addr_arrays.append(baked.addr)
             self._run_streams.append(baked.records())
-            self._instr_totals.append(
-                sum(record[0] for record in stream)
-            )
+            self._instr_totals.append(int(baked.gap.sum()))
         if total == 0:
             raise ValueError(
                 f"trace {trace.name!r} contains no accesses on any host; "
@@ -865,18 +873,10 @@ class SimulationEngine:
         trace.validate(
             address_map.cxl_capacity,
             address_map.total_capacity,
-            addr_arrays=[baked.addr for baked in self._baked],
+            addr_arrays=addr_arrays,
         )
 
     def run(self) -> SimulationResult:
-        if self.backend == "vector":
-            return self._run_vector()
-        return self._run_loop()
-
-    # ------------------------------------------------------------------
-    # Loop backend (the reference semantics)
-    # ------------------------------------------------------------------
-    def _run_loop(self) -> SimulationResult:
         system = self.system
         hosts = system.hosts
         streams = self._run_streams
@@ -888,11 +888,13 @@ class SimulationEngine:
         check_watchdog = (
             watchdog is not None and watchdog.period_ns > 0
         )
+        check_poison = system._check_poison
         # When no interval scheme / fault plan / watchdog is armed, the
         # inner loop skips their checks entirely (the common profile case).
         eventful = (
             interval_scheme or check_stalls or check_watchdog or check_crash
         )
+        bounded = eventful or check_poison
 
         stall_by_service = [0.0] * 7
         svc_l1 = _SVC_L1
@@ -902,7 +904,37 @@ class SimulationEngine:
         lens = [len(stream) for stream in streams]
         inv_mlp = [host.core.inv_mlp for host in hosts]
         access_counts = [0] * len(hosts)
+        svc_counts = system.svc_counts
+        cxl_end = system._cxl_end
         inf = math.inf
+        poisoned = injector.poisoned if check_poison else None
+
+        # Each host's fast lane, resolved once: its record stream, the
+        # per-core L1 set dicts, the TLB set dicts and its flat miss path,
+        # so a lane turn costs one tuple unpack instead of a pile of
+        # attribute lookups.  ``None`` = no lane: every access of that
+        # host takes the slow path.
+        lanes = [None] * len(hosts)
+        flushes = []
+        if self.fast_lane:
+            for host_id, host in enumerate(hosts):
+                made = _make_flat_path(system, host_id, stall_by_service)
+                if made is None:
+                    continue
+                flat, flush = made
+                flushes.append(flush)
+                tlb_cache = host.tlb._cache
+                lanes[host_id] = (
+                    streams[host_id],
+                    lens[host_id],
+                    [(l1, l1._sets, l1._mask) for l1 in host.l1s],
+                    len(host.l1s),
+                    tlb_cache,
+                    tlb_cache._sets,
+                    tlb_cache._mask,
+                    tlb_cache.ways,
+                    flat,
+                )
 
         # Heap of (clock_ns, host_id, next_index).  The loop holds the
         # current minimum in ``item`` and continues a host via heappushpop,
@@ -950,6 +982,113 @@ class SimulationEngine:
                     host.clock_ns = resume
                     item = heappushpop(heap, (resume, host_id, index))
                     continue
+
+            lane = lanes[host_id]
+            if lane is not None:
+                # ---- the host's fast lane ------------------------------
+                # ``event_bound`` fences every time-ordered side channel
+                # the slow path checks per access: crossing any of them
+                # must go through the slow path.  ``heap_bound`` fences
+                # the host's heap turn — an access may run in the lane
+                # only while this host would still win (strictly) the
+                # heappushpop.  Falling out of the lane is always safe:
+                # the slow path below re-examines the access from scratch.
+                (rec, length, l1m, n_l1, tlb_cache, tlb_sets, tlb_mask,
+                 tlb_ways, flat) = lane
+                heap_bound = heap[0][0] if heap else inf
+                event_bound = inf
+                if bounded:
+                    if interval_scheme:
+                        event_bound = system._next_interval
+                    if check_watchdog and watchdog._next_audit < event_bound:
+                        event_bound = watchdog._next_audit
+                    if check_poison and injector.next_poison_ns < event_bound:
+                        event_bound = injector.next_poison_ns
+                    if check_stalls:
+                        stall_bound = injector.next_stall_start(host_id, clock)
+                        if stall_bound < event_bound:
+                            event_bound = stall_bound
+                    if check_crash:
+                        # No lane run may cross a crash/rejoin epoch; while
+                        # the governor holds promotions suspended the fence
+                        # is 0.0 so every access runs the slow path.
+                        # simcheck: bails[crash-epoch]
+                        crash_bound = injector.crash_fence(clock)
+                        if crash_bound < event_bound:
+                            event_bound = crash_bound
+                consumed = 0
+                l1_count = 0
+                while index < length:
+                    compute_ns, addr, is_write, core = rec[index]
+                    now = host_clock + compute_ns
+                    if now >= event_bound:
+                        break
+                    if consumed and host_clock >= heap_bound:
+                        break
+                    line = addr >> _LINE_SHIFT
+                    if poisoned and line in poisoned:
+                        break
+                    l1, l1_sets, l1_mask = l1m[core % n_l1]
+                    cache_set = l1_sets[line & l1_mask]
+                    entry = cache_set.get(line)
+                    if entry is None:
+                        # L1 miss: the flat path resolves it end to end,
+                        # or returns None and leaves it to the slow path
+                        # with nothing mutated.
+                        hc = flat(l1, cache_set, addr, line, is_write, now)
+                        if hc is None:
+                            break
+                        host_clock = hc
+                        index += 1
+                        consumed += 1
+                        continue
+                    if is_write:
+                        if (
+                            addr < cxl_end
+                            and not entry.dirty
+                            and entry.state == 0
+                        ):
+                            # Write hit on a Shared copy: the S -> M
+                            # upgrade invalidates other hosts.
+                            break  # simcheck: bails[upgrade-l1-hit]
+                        entry.dirty = True
+                    # Commit the hit: exactly the slow path's move-to-end
+                    # and counter, plus the TLB translate it charges (the
+                    # latency itself is discarded on an L1 hit).
+                    del cache_set[line]
+                    cache_set[line] = entry
+                    l1.hits += 1
+                    page = line >> _LINE_TO_PAGE
+                    tlb_set = tlb_sets[page & tlb_mask]
+                    tlb_entry = tlb_set.get(page)
+                    if tlb_entry is not None:
+                        tlb_cache.hits += 1
+                        del tlb_set[page]
+                        tlb_set[page] = tlb_entry
+                    else:
+                        tlb_cache.misses += 1
+                        if len(tlb_set) >= tlb_ways:
+                            tlb_set.pop(next(iter(tlb_set)))
+                            tlb_cache.evictions += 1
+                        tlb_set[page] = CacheEntry(page)
+                    host_clock = now
+                    index += 1
+                    consumed += 1
+                    l1_count += 1
+                if consumed:
+                    if l1_count:
+                        svc_counts[svc_l1] += l1_count
+                    access_counts[host_id] += consumed
+                    host.clock_ns = host_clock
+                    if index < length:
+                        item = heappushpop(heap, (host_clock, host_id, index))
+                        continue
+                    if heap:
+                        item = heappop(heap)
+                        continue
+                    break
+
+            # ---- serialized slow path ----------------------------------
             compute_ns, addr, is_write, core = streams[host_id][index]
             now = host_clock + compute_ns
             host.clock_ns = now
@@ -980,363 +1119,11 @@ class SimulationEngine:
             else:
                 break
 
-        return self._finish(stall_by_service, access_counts)
-
-    # ------------------------------------------------------------------
-    # Vector backend (flattened fast path + batched private L1 hits)
-    # ------------------------------------------------------------------
-    def _run_vector(self) -> SimulationResult:
-        system = self.system
-        hosts = system.hosts
-        streams = self._run_streams
-        interval_scheme = system._next_interval is not None
-        injector = system.injector
-        check_stalls = injector is not None and injector.has_stalls
-        check_crash = injector is not None and injector.has_crashes
-        watchdog = system.watchdog
-        check_watchdog = (
-            watchdog is not None and watchdog.period_ns > 0
-        )
-        check_poison = system._check_poison
-        eventful = (
-            interval_scheme or check_stalls or check_watchdog or check_crash
-        )
-        bounded = eventful or check_poison
-
-        stall_by_service = [0.0] * 7
-        svc_l1 = _SVC_L1
-        access = system.access
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        lens = [len(stream) for stream in streams]
-        inv_mlp = [host.core.inv_mlp for host in hosts]
-        access_counts = [0] * len(hosts)
-        svc_counts = system.svc_counts
-        cxl_end = system._cxl_end
-        inf = math.inf
-        poisoned = injector.poisoned if check_poison else None
-        array_threshold = _ARRAY_THRESHOLD
-
-        # Per-host fast-path bindings, resolved once: the record stream,
-        # the per-core L1 set dicts, the TLB set dicts, and the host's
-        # flat miss path (None when the configuration rules it out) — so
-        # a heap turn costs one tuple unpack instead of a pile of
-        # attribute lookups.
-        flushes = []
-        per_host = []
-        for host_id, host in enumerate(hosts):
-            made = _make_flat_path(system, host_id, stall_by_service)
-            if made is not None:
-                flat, flush = made
-                flushes.append(flush)
-            else:
-                flat = None
-            tlb_cache = host.tlb._cache
-            per_host.append((
-                streams[host_id],
-                lens[host_id],
-                [(l1, l1._sets, l1._mask) for l1 in host.l1s],
-                len(host.l1s),
-                tlb_cache,
-                tlb_cache._sets,
-                tlb_cache._mask,
-                tlb_cache.ways,
-                flat,
-                host,
-            ))
-
-        heap = [
-            (hosts[h].clock_ns, h, 0)
-            for h in range(len(streams))
-            if streams[h]
-        ]
-        heapq.heapify(heap)
-        item = heappop(heap)
-        while True:
-            clock, host_id, index = item
-            (rec, length, l1m, n_l1, tlb_cache, tlb_sets, tlb_mask,
-             tlb_ways, flat, host) = per_host[host_id]
-            host_clock = host.clock_ns
-            if host_clock > clock:
-                # Management charges moved this host's clock forward;
-                # requeue so interleaving stays time-ordered.
-                item = heappushpop(heap, (host_clock, host_id, index))
-                continue
-            if check_stalls:
-                resume = injector.stall_resume(host_id, clock)
-                if resume is not None and resume > clock:
-                    injector.counters.host_stall_ns += resume - clock
-                    host.clock_ns = resume
-                    item = heappushpop(heap, (resume, host_id, index))
-                    continue
-            if check_crash:
-                resume = injector.crash_resume(host_id, clock)
-                if resume is not None:
-                    if resume == inf:
-                        # Fail-stop with no rejoin: drop the host's
-                        # remaining stream deterministically (counted).
-                        injector.counters.crash_dropped_accesses += (
-                            length - index
-                        )
-                        if heap:
-                            item = heappop(heap)
-                            continue
-                        break
-                    # Dead until the rejoin epoch: pause the stream.
-                    host.clock_ns = resume
-                    item = heappushpop(heap, (resume, host_id, index))
-                    continue
-
-            # ---- burst attempt: the host's flattened fast path --------
-            # ``event_bound`` fences every time-ordered side channel the
-            # loop backend checks per access: crossing any of them must go
-            # through the serialized slow path.  ``heap_bound`` fences the
-            # host's heap turn — an access may run fast only while this
-            # host would still win (strictly) the heappushpop.  Falling
-            # out of the fast path is always safe: the slow path below
-            # re-examines the access from scratch.
-            heap_bound = heap[0][0] if heap else inf
-            event_bound = inf
-            if bounded:
-                if interval_scheme:
-                    event_bound = system._next_interval
-                if check_watchdog and watchdog._next_audit < event_bound:
-                    event_bound = watchdog._next_audit
-                if check_poison and injector.next_poison_ns < event_bound:
-                    event_bound = injector.next_poison_ns
-                if check_stalls:
-                    stall_bound = injector.next_stall_start(host_id, clock)
-                    if stall_bound < event_bound:
-                        event_bound = stall_bound
-                if check_crash:
-                    # No burst may cross a crash/rejoin epoch; while the
-                    # governor holds promotions suspended the fence is 0.0
-                    # so every access runs the serialized slow path.
-                    # simcheck: bails[crash-epoch]
-                    crash_bound = injector.crash_fence(clock)
-                    if crash_bound < event_bound:
-                        event_bound = crash_bound
-            consumed = 0
-            l1_count = 0
-            streak = 0
-            while index < length:
-                compute_ns, addr, is_write, core = rec[index]
-                now = host_clock + compute_ns
-                if now >= event_bound:
-                    break
-                if consumed and host_clock >= heap_bound:
-                    break
-                line = addr >> _LINE_SHIFT
-                if poisoned and line in poisoned:
-                    break
-                l1, l1_sets, l1_mask = l1m[core % n_l1]
-                cache_set = l1_sets[line & l1_mask]
-                entry = cache_set.get(line)
-                if entry is None:
-                    # L1 miss: resolve inline through the host's flat path
-                    # (classify-then-execute, byte-identical to access());
-                    # a None bail hands the access to the slow path intact.
-                    if flat is None:
-                        break
-                    hc = flat(l1, cache_set, addr, line, is_write, now)
-                    if hc is None:
-                        break
-                    host_clock = hc
-                    index += 1
-                    consumed += 1
-                    streak = 0
-                    continue
-                if is_write:
-                    if (
-                        addr < cxl_end
-                        and not entry.dirty
-                        and entry.state == 0
-                    ):
-                        # Write hit on a Shared copy: the S -> M upgrade
-                        # invalidates other hosts — coherence-visible.
-                        break  # simcheck: bails[upgrade-l1-hit]
-                    entry.dirty = True
-                # Commit the hit: exactly lookup()'s move-to-end + counter,
-                # plus the TLB translate the slow path would have charged
-                # (the latency itself is discarded on an L1 hit).
-                del cache_set[line]
-                cache_set[line] = entry
-                l1.hits += 1
-                page = line >> _LINE_TO_PAGE
-                tlb_set = tlb_sets[page & tlb_mask]
-                tlb_entry = tlb_set.get(page)
-                if tlb_entry is not None:
-                    tlb_cache.hits += 1
-                    del tlb_set[page]
-                    tlb_set[page] = tlb_entry
-                else:
-                    tlb_cache.misses += 1
-                    if len(tlb_set) >= tlb_ways:
-                        tlb_set.pop(next(iter(tlb_set)))
-                        tlb_cache.evictions += 1
-                    tlb_set[page] = CacheEntry(page)
-                host_clock = now
-                index += 1
-                consumed += 1
-                l1_count += 1
-                streak += 1
-                if streak >= array_threshold:
-                    index, host_clock, batched = self._array_burst(
-                        host_id, index, host_clock,
-                        heap_bound, event_bound,
-                    )
-                    consumed += batched
-                    l1_count += batched
-                    streak = 0
-            if consumed:
-                if l1_count:
-                    svc_counts[svc_l1] += l1_count
-                access_counts[host_id] += consumed
-                host.clock_ns = host_clock
-                if index < length:
-                    item = heappushpop(heap, (host_clock, host_id, index))
-                    continue
-                if heap:
-                    item = heappop(heap)
-                    continue
-                break
-
-            # ---- serialized slow path (identical to the loop backend) --
-            compute_ns, addr, is_write, core = rec[index]
-            now = host_clock + compute_ns
-            host.clock_ns = now
-            if eventful:
-                if check_crash:
-                    system.maybe_crash(now)
-                    if host_id in injector.crashed:
-                        # This access died with its host at the crash
-                        # epoch: requeue so the next turn pauses or drops
-                        # the stream instead of serving it.
-                        item = heappushpop(heap, (now, host_id, index))
-                        continue
-                if interval_scheme:
-                    system.maybe_tick(now)
-                if check_watchdog:
-                    watchdog.maybe_audit(now)
-            latency, service = access(host_id, core, addr, is_write, now)
-            access_counts[host_id] += 1
-            if service != svc_l1:
-                stall = latency * inv_mlp[host_id]
-                host.clock_ns += stall
-                stall_by_service[service] += stall
-            index += 1
-            if index < length:
-                item = heappushpop(heap, (host.clock_ns, host_id, index))
-            elif heap:
-                item = heappop(heap)
-            else:
-                break
-
-        # Fold the flat paths' deferred integer statistics back into the
-        # live counters before anything reads them.
+        # Fold the lanes' deferred integer statistics back into the live
+        # counters before anything reads them.
         for flush in flushes:
             flush()
         return self._finish(stall_by_service, access_counts)
-
-    def _array_burst(self, host_id, index, host_clock, heap_bound,
-                     event_bound):
-        """Resolve a window of guaranteed-private L1 hits as array math.
-
-        Returns ``(new_index, new_host_clock, committed)``.  Probes up to
-        :data:`_ARRAY_WINDOW` upcoming accesses: exact per-access clocks
-        come from a sequential ``cumsum`` seeded with the host clock (the
-        same float additions the scalar path performs), time bounds clip
-        via ``searchsorted``, and per-core residency/upgrade-risk masks
-        come from tag membership against the L1 set state.  The eligible
-        prefix commits in bulk: clock jump, hit counters, bulk LRU
-        reorders + dirty bits (:meth:`SetAssocCache.batch_touch`), and a
-        run-compressed TLB replay.  Everything past the first ineligible
-        access is left for the scalar paths.
-        """
-        system = self.system
-        host = system.hosts[host_id]
-        baked = self._baked[host_id]
-        if host_clock >= heap_bound:
-            # The previous access already reached another host's turn; the
-            # scalar loop will requeue on its next iteration.
-            return index, host_clock, 0
-        stop = min(index + _ARRAY_WINDOW, len(baked))
-        if stop <= index:
-            return index, host_clock, 0
-        compute = baked.compute_ns[index:stop]
-        # Sequential cumulative sum seeded with the live clock reproduces
-        # the scalar path's float additions bit for bit.
-        clocks = np.cumsum(np.concatenate(((host_clock,), compute)))[1:]
-        # now_j < event_bound for every batched access; the heap turn
-        # requires the *previous* access's clock to stay strictly below
-        # the heap top, i.e. clocks[j-1] < heap_bound.
-        limit = int(np.searchsorted(clocks, event_bound, side="left"))
-        if heap_bound < math.inf:
-            limit = min(
-                limit,
-                int(np.searchsorted(clocks, heap_bound, side="left")) + 1,
-            )
-        if limit <= 0:
-            return index, host_clock, 0
-        lines = baked.line[index:index + limit]
-        writes = baked.is_write[index:index + limit]
-        cores = baked.core[index:index + limit]
-        shared_write = writes & (baked.addr[index:index + limit]
-                                 < system._cxl_end)
-        l1s = host.l1s
-        n_l1 = len(l1s)
-        eligible = np.empty(limit, dtype=bool)
-        core_lane = cores % n_l1
-        for lane in range(n_l1):
-            lane_mask = core_lane == lane
-            if not lane_mask.any():
-                continue
-            l1 = l1s[lane]
-            lane_lines = lines[lane_mask]
-            ok = np.isin(lane_lines, l1.resident_line_array())
-            risky = l1.resident_line_array(
-                lambda e: e.state == 0 and not e.dirty
-            )
-            if len(risky):
-                ok &= ~(
-                    shared_write[lane_mask]
-                    & np.isin(lane_lines, risky)
-                )
-            eligible[lane_mask] = ok
-        injector = system.injector
-        if system._check_poison and injector.poisoned:
-            eligible &= ~np.isin(
-                lines,
-                np.fromiter(injector.poisoned, dtype=np.int64),
-            )
-        bad = np.flatnonzero(~eligible)
-        commit = int(bad[0]) if len(bad) else limit
-        if commit <= 0:
-            return index, host_clock, 0
-        lines = lines[:commit]
-        writes = writes[:commit]
-        core_lane = core_lane[:commit]
-        for lane in range(n_l1):
-            lane_mask = core_lane == lane
-            if lane_mask.any():
-                l1s[lane].batch_touch(lines[lane_mask], writes[lane_mask])
-        # TLB replay with page-run compression: one real translate per run
-        # of equal pages; the other run members are guaranteed hits on an
-        # already-MRU entry (the move-to-end is a no-op), so they reduce
-        # to hit-counter increments.
-        pages = baked.page[index:index + commit]
-        run_starts = np.concatenate(
-            ((0,), np.flatnonzero(pages[1:] != pages[:-1]) + 1)
-        )
-        translate = host.tlb.translate
-        for page in pages[run_starts].tolist():
-            translate(page)
-        host.tlb._cache.hits += commit - len(run_starts)
-        return (
-            index + commit,
-            float(clocks[commit - 1]),
-            commit,
-        )
 
     # ------------------------------------------------------------------
     # Shared epilogue
@@ -1421,7 +1208,7 @@ def simulate(
     trace: WorkloadTrace,
     scheme: MigrationScheme,
     config: Optional[SystemConfig] = None,
-    backend: str = "loop",
+    fast_lane: bool = True,
     **system_kwargs,
 ) -> SimulationResult:
     """Convenience: build a system for ``scheme`` and run ``trace``."""
@@ -1433,4 +1220,4 @@ def simulate(
     system = MultiHostSystem(
         config, scheme, workload_mlp=trace.mlp, **system_kwargs
     )
-    return SimulationEngine(system, trace, backend=backend).run()
+    return SimulationEngine(system, trace, fast_lane=fast_lane).run()

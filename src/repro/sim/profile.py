@@ -132,7 +132,7 @@ def run_case(
     config: Optional[SystemConfig] = None,
     repeats: int = 1,
     profiler: Optional[cProfile.Profile] = None,
-    backend: str = "loop",
+    fast_lane: bool = True,
 ) -> CaseResult:
     """Time ``repeats`` fresh engine runs of one case; keep the fastest.
 
@@ -159,7 +159,7 @@ def run_case(
             workload_mlp=trace.mlp,
             footprint_pages=footprint_pages,
         )
-        engine = SimulationEngine(system, trace, backend=backend)
+        engine = SimulationEngine(system, trace, fast_lane=fast_lane)
         if profiler is not None:
             profiler.enable()
         start = time.perf_counter()
@@ -186,7 +186,7 @@ def run_microbench(
     config: Optional[SystemConfig] = None,
     repeats: int = 1,
     profiler: Optional[cProfile.Profile] = None,
-    backend: str = "loop",
+    fast_lane: bool = True,
 ) -> MicrobenchResult:
     if config is None:
         config = SystemConfig.scaled()
@@ -195,7 +195,8 @@ def run_microbench(
     for workload, scheme in cases:
         out.cases.append(
             run_case(workload, scheme, scale_obj, config=config,
-                     repeats=repeats, profiler=profiler, backend=backend)
+                     repeats=repeats, profiler=profiler,
+                     fast_lane=fast_lane)
         )
     return out
 

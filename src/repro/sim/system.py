@@ -110,13 +110,12 @@ class MultiHostSystem:
         # host's route to the memory node into a path object.  Under the
         # flat preset ``paths[h] is links[h]`` (the bare CxlLink), so the
         # default topology cannot perturb a float of the pre-fabric model;
-        # switched presets route through shared, contended segments and the
-        # vector backend's flat fast path stands down.
+        # switched presets route through shared, contended segments.
         self.topology = FabricTopology(
             config.fabric, config.cxl_link, config.num_hosts, self.stats
         )
         self.links = self.topology.links
-        self.paths = self.topology.paths  # simcheck: escalates[switched-path]
+        self.paths = self.topology.paths
         self.device_dir = SlicedDirectory(
             config.directory.sets,
             config.directory.ways,
@@ -1122,10 +1121,10 @@ class MultiHostSystem:
     def maybe_crash(self, now: float) -> None:
         """Process crash/rejoin epochs that came due by ``now``.
 
-        Both engine backends call this at the same global-order points as
-        :meth:`maybe_tick` (and the vector backend fences its batches at
-        the next epoch), so the recovery timeline is identical under loop
-        and vector execution.
+        The engine's slow path calls this at the same global-order points
+        as :meth:`maybe_tick`, and its fast lane never runs across the next
+        epoch, so the recovery timeline is identical with the lane on or
+        off.
         """
         injector = self.injector
         if now < injector.next_crash_ns:
@@ -1259,7 +1258,7 @@ class MultiHostSystem:
         """Drop a host's cached state in place (crash teardown / rejoin).
 
         Mutates the existing cache objects rather than replacing them: the
-        vector backend's per-host closures bind these objects directly.
+        engine's per-host fast lanes bind these objects directly.
         """
         host = self.hosts[host_id]
         for l1 in host.l1s:
@@ -1315,7 +1314,7 @@ class MultiHostSystem:
         if self._check_crash:
             end_ns = max((host.clock_ns for host in self.hosts), default=0.0)
             # A crash epoch the trace ended just short of observing is
-            # still recovered (both backends finalize identically), so
+            # still recovered (with the fast lane on or off), so
             # the availability accounting below matches the timeline.
             self.maybe_crash(end_ns)
             counters = self.injector.counters

@@ -11,8 +11,8 @@ One invocation runs up to three analysis families, each gated by what
 the requested paths actually cover:
 
 * the AST rule engine (DET/ORD/UNIT/FLOW/... rules) over every in-scope
-  ``.py`` file, plus the backend-conformance pass (``VEC001-004``) when
-  the linted set includes ``sim/engine.py``;
+  ``.py`` file, plus the fast-lane conformance pass (``VEC001-004``)
+  when the linted set includes ``sim/engine.py``;
 * the protocol-table analyzer (``PROTO001-006``) and the table<->code
   drift pass (``PROTO007``) when it includes the coherence modules.
 
@@ -93,7 +93,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--protocol-only", action="store_true",
         help="run only the protocol-table analyzer and drift pass "
-             "(skip AST rules and backend conformance)",
+             "(skip AST rules and fast-lane conformance)",
     )
     parser.add_argument(
         "--strict-ignores", action="store_true",
@@ -111,13 +111,13 @@ def _list_rules() -> int:
         scopes = ",".join(rule.scopes)
         print(f"{rule.id:<9} [{scopes}] {rule.title}")
     print(f"{'SUPP001':<9} [engine] note: unused/unknown suppression pragma")
-    print(f"{'VEC001':<9} [backend] fast-path stat cell incremented but "
+    print(f"{'VEC001':<9} [lane] fast-lane stat cell incremented but "
           f"never flushed")
-    print(f"{'VEC002':<9} [backend] escalation branch without a matching "
-          f"fast-path bail (or vice versa)")
-    print(f"{'VEC003':<9} [backend] classify-phase closure mutates shared "
+    print(f"{'VEC002':<9} [lane] escalation branch without a matching "
+          f"fast-lane bail (or vice versa)")
+    print(f"{'VEC003':<9} [lane] classify-phase closure mutates shared "
           f"state")
-    print(f"{'VEC004':<9} [backend] flush reads a cell it never resets")
+    print(f"{'VEC004':<9} [lane] flush reads a cell it never resets")
     print(f"{'PROTO001':<9} [tables] unhandled (state, event) pair")
     print(f"{'PROTO002':<9} [tables] ambiguous transitions for one stimulus")
     print(f"{'PROTO003':<9} [tables] emitted/awaited message without peer")
@@ -176,7 +176,7 @@ def run_lint(args) -> int:
         report.suppressed = result.suppressed
         report.files_checked = result.files_checked
 
-        # Backend conformance fires only when the run covers the vector
+        # Fast-lane conformance fires only when the run covers the
         # engine module (so `lint benchmarks/` stays fast).
         conf_findings, _ = analyze_repo_conformance(
             pathlib.Path(root), linted & set(CONFORMANCE_MODULES)

@@ -1,22 +1,26 @@
-"""Backend-conformance pass: fast-path closures vs. the slow path.
+"""Fast-lane conformance pass: the lane's closures vs. the slow path.
 
-PR 7's ``vector`` backend hand-flattens :meth:`MultiHostSystem.access`
-into closures built by ``_make_flat_path``/``_make_dram_path`` in
-``src/repro/sim/engine.py``.  The flattening is only correct while
-three structural invariants hold, and until now they were guarded only
-by golden records at runtime.  This pass proves them statically on
-every lint run:
+The engine's single run loop (:meth:`SimulationEngine.run` in
+``src/repro/sim/engine.py``) gives each host a *fast lane*: it resolves
+private L1 hits inline and hands L1 misses to closures built by
+``_make_flat_path``/``_make_dram_path``, which hand-flatten
+:meth:`MultiHostSystem.access`.  Any access the lane declines falls
+through to the slow path in the same loop.  The flattening is only
+correct while three structural invariants hold; golden records and the
+lane on/off differential tests check them at runtime, and this pass
+proves them statically on every lint run:
 
 VEC001 — every deferred statistic cell the hot closure increments is
     folded into a real counter by the factory's ``flush()``.  A cell
     that is incremented but never read in flush silently *drops* those
     statistics from the run's records.
 
-VEC002 — the slow path's escalation branches and the fast path's bail
+VEC002 — the slow path's escalation branches and the lane's bail
     predicates form the same set.  Escalations are annotated
     ``# simcheck: escalates[tag]`` in ``system.py``; bails are
-    annotated ``# simcheck: bails[tag]`` in ``engine.py``.  A tag on
-    one side without its twin on the other — or an unannotated
+    annotated ``# simcheck: bails[tag]`` in ``engine.py`` — in the
+    closures and in the run loop's lane branch alike.  A tag on one
+    side without its twin on the other — or an unannotated
     ``return None`` in the classify phase, or an unannotated
     ``self._upgrade(...)`` escalation call — is an error.
 
@@ -371,8 +375,8 @@ def _check_escalations(
                 escalates[tag][0],
                 "VEC002",
                 f"slow path escalates[{tag}] has no matching bails[{tag}] "
-                f"in the fast path; the flat closure would execute an "
-                f"access the slow path treats as a cross-host transaction",
+                f"in the fast lane; the lane would execute an access the "
+                f"slow path treats as a cross-host transaction",
                 line_text=f"escalates::{tag}",
             )
         )
@@ -382,7 +386,7 @@ def _check_escalations(
                 engine_relpath,
                 bails[tag][0],
                 "VEC002",
-                f"fast path bails[{tag}] has no matching escalates[{tag}] "
+                f"fast lane bails[{tag}] has no matching escalates[{tag}] "
                 f"annotation in the slow path; either the escalation branch "
                 f"was removed (delete the bail) or its annotation was lost",
                 line_text=f"bails::{tag}",

@@ -6,7 +6,7 @@ control-flow graphs (:mod:`cfg`), a reaching-definitions fixed point
 with def-use chains (:mod:`reaching`), and a small provenance/taint
 framework (:mod:`taint`) that propagates client-defined facts along
 those chains.  The FLOW rules (:mod:`repro.simcheck.rules.flow_rules`)
-are the first clients; the backend-conformance and table-drift passes
+are the first clients; the fast-lane conformance and table-drift passes
 anchor on the same machinery where inference suffices.
 """
 

@@ -7,6 +7,7 @@ fresh allocator and returns a :class:`WorkloadTrace`.  Generators receive a
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -16,6 +17,12 @@ from .. import units
 from ..mem.address import HeapAllocator
 from .trace import WorkloadScale, WorkloadTrace
 from . import gapbs, parsec, silo, xsbench
+
+try:  # glibc; other C libraries keep their heap as it is
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass
@@ -108,6 +115,15 @@ def generate(
         heap=HeapAllocator(capacity),
     )
     trace = info.generator(ctx)
+    # The generators' numpy scratch (several times the footprint for the
+    # graph workloads) mostly lands in the C heap, and the heap only
+    # shrinks from its top: when one of the trace's lists is placed above
+    # the freed scratch, all of it stays resident for the rest of the run.
+    # Where the list lands depends on everything allocated before, down
+    # to the length of the checkout's path, so hand the free pages back
+    # here and the footprint of a run no longer depends on it.
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     if trace.num_hosts != num_hosts or len(trace.streams) != num_hosts:
         raise AssertionError(f"{name}: generator produced a malformed trace")
     return trace

@@ -13,6 +13,7 @@ probabilistically with a seeded RNG so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -83,30 +84,38 @@ class WorkloadTrace:
         """``streams[host]`` as a structure-of-arrays :class:`BakedStream`.
 
         The instruction gap is pre-multiplied into compute nanoseconds (one
-        vectorized multiply at load instead of per access), the write flag
-        becomes a real bool array, and line/page indices are precomputed —
-        the batch engine backend consumes the arrays directly and the loop
-        backend unpacks them into plain tuples via
-        :meth:`BakedStream.records`.
+        vectorized multiply at load instead of per access) and the write
+        flag becomes a real bool array; :meth:`BakedStream.records` unpacks
+        the arrays into the engine's run-loop tuples.  Raises
+        ``ValueError`` when a record does not have exactly four fields.
         """
         stream = self.streams[host]
-        raw = np.array(stream, dtype=np.int64).reshape(-1, 4)
-        addr = np.ascontiguousarray(raw[:, 1])
-        line = addr >> units.LINE_SHIFT
+        widths = set(map(len, stream))
+        if widths - {4}:
+            raise ValueError(
+                f"{self.name}: host {host} records must have 4 fields "
+                f"(gap, address, is_write, core); found widths "
+                f"{sorted(widths)}"
+            )
+        raw = np.fromiter(
+            itertools.chain.from_iterable(stream),
+            dtype=np.int64,
+            count=4 * len(stream),
+        ).reshape(-1, 4)
+        gap = raw[:, 0]
         return BakedStream(
-            compute_ns=raw[:, 0] * float(ns_per_instr),
-            addr=addr,
+            gap=gap,
+            compute_ns=gap * float(ns_per_instr),
+            addr=np.ascontiguousarray(raw[:, 1]),
             is_write=raw[:, 2] != 0,
             core=np.ascontiguousarray(raw[:, 3]),
-            line=line,
-            page=line >> (units.PAGE_SHIFT - units.LINE_SHIFT),
         )
 
     def baked_stream(
         self, host: int, ns_per_instr: float
     ) -> List[Tuple[float, int, bool, int]]:
-        """``streams[host]`` as flat run-loop records (the loop backend's
-        view of :meth:`baked_arrays`)."""
+        """``streams[host]`` as flat run-loop records (the engine's view
+        of :meth:`baked_arrays`)."""
         return self.baked_arrays(host, ns_per_instr).records()
 
     def validate(
@@ -170,18 +179,16 @@ class WorkloadTrace:
 class BakedStream:
     """One host's stream as parallel numpy arrays (structure of arrays).
 
-    ``compute_ns`` is float64 (gap * ns_per_instruction), ``addr``/``core``
-    are int64, ``is_write`` is bool, and ``line``/``page`` are the
-    precomputed cache-line and page indices the batch engine backend keys
-    its array probes on.
+    ``gap`` is the int64 instruction gap column, ``compute_ns`` is float64
+    (gap * ns_per_instruction), ``addr``/``core`` are int64 and
+    ``is_write`` is bool.
     """
 
+    gap: np.ndarray
     compute_ns: np.ndarray
     addr: np.ndarray
     is_write: np.ndarray
     core: np.ndarray
-    line: np.ndarray
-    page: np.ndarray
 
     def __len__(self) -> int:
         return len(self.addr)
@@ -190,8 +197,7 @@ class BakedStream:
         """Flat ``(compute_ns, addr, is_write, core)`` tuples.
 
         ``ndarray.tolist`` hands back native Python floats/ints/bools with
-        exactly the values the arrays hold, so the loop backend sees the
-        same records it always did.
+        exactly the values the arrays hold.
         """
         return list(zip(
             self.compute_ns.tolist(), self.addr.tolist(),

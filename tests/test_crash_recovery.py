@@ -51,8 +51,8 @@ class TestCrashConfig:
         assert config.idle
 
     def test_crash_only_plan_cannot_disrupt_transfers(self):
-        """Crashes are epoch events, not transfer noise: the vector
-        backend's flat fast path must stay eligible."""
+        """Crashes are epoch events, not transfer noise: the engine's
+        fast lane must stay eligible."""
         config = FaultConfig.parse("hostdown:crash-at-ns=5e4")
         plan = FaultPlan.from_config(config, num_hosts=4, num_lines=64)
         injector = FaultInjector(plan)
@@ -375,12 +375,11 @@ class TestCrashRecoveryE2E:
     def test_backends_agree_on_recovery(self, spec, scaled_config,
                                         tiny_pr_trace):
         config = _with_faults(scaled_config, spec)
-        loop = simulate(tiny_pr_trace, make_scheme("pipm"), config,
-                        backend="loop")
-        vector = simulate(tiny_pr_trace, make_scheme("pipm"), config,
-                          backend="vector")
-        assert loop.to_record() == vector.to_record()
-        assert loop.fault_stats["fault_host_crashes"] == 1.0
+        reference = simulate(tiny_pr_trace, make_scheme("pipm"), config,
+                             fast_lane=False)
+        laned = simulate(tiny_pr_trace, make_scheme("pipm"), config)
+        assert reference.to_record() == laned.to_record()
+        assert reference.fault_stats["fault_host_crashes"] == 1.0
 
     def test_rejoin_restores_the_host_cold(self, scaled_config,
                                            tiny_pr_trace):
@@ -402,12 +401,12 @@ class TestCrashRecoveryE2E:
         """A scheduled crash the run never reaches must cost nothing —
         the zero-plan guarantee extends to armed-but-idle crash plans."""
         config = _with_faults(scaled_config, "hostdown:crash-at-ns=9e9")
-        for backend in ("loop", "vector"):
+        for fast_lane in (False, True):
             plain = simulate(tiny_pr_trace, make_scheme("pipm"),
-                             scaled_config, backend=backend)
+                             scaled_config, fast_lane=fast_lane)
             armed = simulate(tiny_pr_trace, make_scheme("pipm"), config,
-                             backend=backend)
-            assert plain.to_record() == armed.to_record(), backend
+                             fast_lane=fast_lane)
+            assert plain.to_record() == armed.to_record(), fast_lane
 
     def test_kernel_scheme_recovers_too(self, scaled_config, tiny_pr_trace):
         config = _with_faults(scaled_config, CRASH_SPEC)

@@ -1,25 +1,35 @@
-"""Loop/vector engine-backend equivalence.
+"""Fast lane on/off equivalence.
 
-The vector backend's contract is *byte identity*: for any trace, scheme,
-and configuration, ``SimulationResult.to_record()`` must match the
-reference loop backend exactly — same floats, same counters, same
-per-host breakdowns.  These tests sweep the profile microbench matrix
-plus the configurations that disable or fence the flattened fast path
-(fault plans, watchdog audits, interval schemes) so both the fast path
-and every bail-to-slow-path seam stay pinned.
+The engine's contract is *byte identity*: for any trace, scheme, and
+configuration, a run with every host's fast lane on must match the
+reference run with it off (``fast_lane=False``, every access through the
+serialized slow path) — same ``SimulationResult.to_record()``, same
+floats, same counters, same per-host breakdowns.  The lane defers integer
+counters and folds them in at the end of the run, so the full
+``StatRegistry.snapshot()`` is compared too: a lost fold shows up only
+there.
+
+The hand-picked cases below pin the profile microbench matrix plus the
+configurations that fence or disable the lane (fault plans, watchdog
+audits, interval schemes); the hypothesis fuzz draws hosts, fabric
+topology, fault plan, scheme and workload at random.
 """
 
 import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro import SystemConfig
+from repro import SystemConfig, units
 from repro.config import FaultConfig
-from repro.policies import make_scheme
-from repro.sim.engine import BACKENDS, SimulationEngine, simulate
+from repro.policies import SCHEME_CLASSES, make_scheme
+from repro.sim import engine as engine_module
+from repro.sim.engine import _make_flat_path, simulate
 from repro.sim.profile import PROFILE_CASES
 from repro.sim.system import MultiHostSystem
+from repro.stats import StatRegistry
 from repro.workloads.registry import generate
 from repro.workloads.trace import WorkloadScale
 
@@ -28,22 +38,22 @@ def _canon(result) -> str:
     return json.dumps(result.to_record(), sort_keys=True)
 
 
-def _trace(workload: str, config: SystemConfig):
+def _trace(workload: str, config: SystemConfig, scale=None):
     return generate(
         workload,
         num_hosts=config.num_hosts,
-        scale=WorkloadScale.tiny(),
+        scale=scale or WorkloadScale.tiny(),
         cores_per_host=config.cores_per_host,
     )
 
 
-def _records_for_backends(workload: str, scheme: str, config: SystemConfig):
+def _records_for_lanes(workload: str, scheme: str, config: SystemConfig):
     trace = _trace(workload, config)
     return {
-        backend: _canon(
-            simulate(trace, make_scheme(scheme), config, backend=backend)
+        fast_lane: _canon(
+            simulate(trace, make_scheme(scheme), config, fast_lane=fast_lane)
         )
-        for backend in BACKENDS
+        for fast_lane in (False, True)
     }
 
 
@@ -51,45 +61,264 @@ class TestBackendParity:
     @pytest.mark.parametrize("workload,scheme", PROFILE_CASES)
     def test_profile_cases_identical(self, workload, scheme):
         config = SystemConfig.scaled()
-        records = _records_for_backends(workload, scheme, config)
-        assert records["vector"] == records["loop"]
+        records = _records_for_lanes(workload, scheme, config)
+        assert records[True] == records[False]
 
     @pytest.mark.parametrize("scheme", ["native", "pipm"])
     def test_fault_plan_identical(self, scheme):
-        # Active faults disable the flat path entirely; stall windows and
-        # poison arrivals additionally fence the batched L1-hit path, so
-        # this pins the eventful turn loop against the reference.
+        # A plan that can disrupt transfers leaves every host without a
+        # lane, so this pins the merged loop's lane-less turns (stall
+        # windows, poison arrivals) against the reference.
         config = dataclasses.replace(
             SystemConfig.scaled(), faults=FaultConfig.parse("storm:seed=5")
         )
-        records = _records_for_backends("pr", scheme, config)
-        assert records["vector"] == records["loop"]
+        records = _records_for_lanes("pr", scheme, config)
+        assert records[True] == records[False]
 
     def test_watchdog_audits_identical(self):
         config = dataclasses.replace(
             SystemConfig.scaled(),
             faults=FaultConfig.parse("none:watchdog-period-ns=5e5"),
         )
-        records = _records_for_backends("pr", "pipm", config)
-        assert records["vector"] == records["loop"]
+        records = _records_for_lanes("pr", "pipm", config)
+        assert records[True] == records[False]
 
     def test_interval_scheme_identical(self):
-        # memtis ticks on an interval: the vector backend must break its
-        # bursts at exactly the tick boundaries the loop backend sees.
+        # memtis ticks on an interval: the lane must stop at exactly the
+        # tick boundaries the slow path sees.
         config = SystemConfig.scaled()
-        records = _records_for_backends("ycsb", "memtis", config)
-        assert records["vector"] == records["loop"]
+        records = _records_for_lanes("ycsb", "memtis", config)
+        assert records[True] == records[False]
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self, tiny_pr_trace, scaled_config):
-        system = MultiHostSystem(scaled_config, make_scheme("native"))
-        with pytest.raises(ValueError, match="backend"):
-            SimulationEngine(system, tiny_pr_trace, backend="warp")
+    def test_simulate_passes_fast_lane(self, tiny_pr_trace, scaled_config,
+                                       monkeypatch):
+        built = []
 
-    def test_simulate_passes_backend(self, tiny_pr_trace, scaled_config):
-        result = simulate(
-            tiny_pr_trace, make_scheme("native"), scaled_config,
-            backend="vector",
+        def counting(system, host_id, stall_by_service):
+            built.append(host_id)
+            return _make_flat_path(system, host_id, stall_by_service)
+
+        monkeypatch.setattr(engine_module, "_make_flat_path", counting)
+        off = simulate(tiny_pr_trace, make_scheme("native"), scaled_config,
+                       fast_lane=False)
+        assert built == []
+        on = simulate(tiny_pr_trace, make_scheme("native"), scaled_config)
+        assert built == list(range(scaled_config.num_hosts))
+        assert on.accesses == off.accesses == tiny_pr_trace.total_accesses
+
+
+# ----------------------------------------------------------------------
+# Where the lane runs
+# ----------------------------------------------------------------------
+def _system(config, scheme="pipm", **kwargs):
+    return MultiHostSystem(config, make_scheme(scheme), **kwargs)
+
+
+class TestLaneEligibility:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SystemConfig.scaled(),
+            SystemConfig.rack(8, "single-switch"),
+            SystemConfig.rack(16, "two-tier:hosts-per-leaf=4"),
+            SystemConfig.rack(8, "single-switch").replace(
+                faults=FaultConfig.parse("switchdown")
+            ),
+            SystemConfig.scaled().replace(
+                faults=FaultConfig.parse("hostdown-rejoin")
+            ),
+        ],
+        ids=["flat", "single-switch", "two-tier", "switchdown", "crash-only"],
+    )
+    @pytest.mark.parametrize("scheme", ["native", "memtis", "pipm"])
+    def test_lane_built(self, config, scheme):
+        system = _system(config, scheme)
+        assert not system._faults_on
+        for host_id in range(config.num_hosts):
+            assert _make_flat_path(system, host_id, [0.0] * 7) is not None
+
+    @pytest.mark.parametrize(
+        "scheme,config,kwargs",
+        [
+            ("pipm", SystemConfig.scaled().replace(
+                faults=FaultConfig.parse("flaky")), {}),
+            ("native", SystemConfig.rack(8, "single-switch").replace(
+                faults=FaultConfig.parse("storm")), {}),
+            ("hw-static", SystemConfig.scaled(), {}),
+            ("pipm", SystemConfig.scaled(),
+             {"infinite_global_remap_cache": True}),
+            ("pipm", SystemConfig.scaled(),
+             {"infinite_local_remap_cache": True}),
+        ],
+        ids=["faults-on", "faults-on-switched", "hw-static",
+             "infinite-global-cache", "infinite-local-cache"],
+    )
+    def test_no_lane(self, scheme, config, kwargs):
+        system = _system(config, scheme, **kwargs)
+        assert _make_flat_path(system, 0, [0.0] * 7) is None
+
+
+# ----------------------------------------------------------------------
+# Differential fuzz: lane on == lane off, records and registry
+# ----------------------------------------------------------------------
+TOPOLOGIES = (
+    "flat",
+    "single-switch",
+    "two-tier:hosts-per-leaf=2",
+    "two-tier:hosts-per-leaf=4",
+    "two-tier:hosts-per-leaf=8",
+)
+#: Fault plans the fuzz draws from.  ``stalls`` (pause windows plus
+#: poisoned lines, no transfer faults) keeps the lane on and exercises
+#: its stall and poison fences; ``switchdown`` needs a switched fabric.
+FAULT_KINDS = (
+    "none", "flaky", "storm", "hostdown", "hostdown-rejoin", "switchdown",
+    "watchdog", "stalls",
+)
+SCHEMES = tuple(name for name in SCHEME_CLASSES if name != "local-only")
+WORKLOADS = ("pr", "ycsb", "tpcc")
+
+
+@dataclasses.dataclass(frozen=True)
+class LaneCase:
+    hosts: int
+    topology: str
+    faults: str
+    scheme: str
+    workload: str
+    accesses_per_host: int
+    seed: int
+    #: Where a crash or switchdown window opens and closes, as fractions
+    #: of the fault-free run's length.
+    opens_at: float
+    closes_at: float
+    #: Host that crashes / switch that goes down (taken modulo the count).
+    victim: int
+
+    def base_config(self) -> SystemConfig:
+        if self.topology == "flat":
+            return SystemConfig.scaled(num_hosts=self.hosts)
+        return SystemConfig.rack(self.hosts, self.topology)
+
+    def fault_spec(self, config: SystemConfig, span_ns: float):
+        opens = self.opens_at * span_ns
+        closes = self.closes_at * span_ns
+        host = self.victim % self.hosts
+        seed = f"seed={self.seed}"
+        if self.faults == "none":
+            return None
+        if self.faults == "flaky":
+            return f"flaky:{seed}"
+        if self.faults == "storm":
+            return (
+                f"storm:{seed},stall-period-ns={span_ns / 3},"
+                f"stall-duration-ns={span_ns / 30},"
+                f"poison-period-ns={span_ns / 10}"
+            )
+        if self.faults == "hostdown":
+            return f"hostdown:{seed},crash-host={host},crash-at-ns={opens}"
+        if self.faults == "hostdown-rejoin":
+            return (
+                f"hostdown-rejoin:{seed},crash-host={host},"
+                f"crash-at-ns={opens},crash-rejoin-ns={closes}"
+            )
+        if self.faults == "switchdown":
+            switch = self.victim % config.fabric.num_switches(self.hosts)
+            return (
+                f"switchdown:{seed},switch-down={switch},"
+                f"switch-down-start-ns={opens},switch-down-end-ns={closes}"
+            )
+        if self.faults == "watchdog":
+            return f"none:{seed},watchdog-period-ns={span_ns / 4}"
+        assert self.faults == "stalls"
+        return (
+            f"none:{seed},stall-period-ns={span_ns / 3},"
+            f"stall-duration-ns={span_ns / 30},poison-count=8,"
+            f"poison-period-ns={span_ns / 10}"
         )
-        assert result.accesses == tiny_pr_trace.total_accesses
+
+
+@st.composite
+def lane_cases(draw):
+    topology = draw(st.sampled_from(TOPOLOGIES))
+    kinds = [
+        kind for kind in FAULT_KINDS
+        if topology != "flat" or kind != "switchdown"
+    ]
+    opens_at = draw(st.floats(0.1, 0.5))
+    return LaneCase(
+        hosts=draw(st.integers(2, 32)),
+        topology=topology,
+        faults=draw(st.sampled_from(kinds)),
+        scheme=draw(st.sampled_from(SCHEMES)),
+        workload=draw(st.sampled_from(WORKLOADS)),
+        accesses_per_host=draw(st.integers(1000, 2000)),
+        seed=draw(st.integers(0, 2**16)),
+        opens_at=opens_at,
+        closes_at=draw(st.floats(opens_at + 0.1, 0.9)),
+        victim=draw(st.integers(0, 63)),
+    )
+
+
+def _run_with_registry(trace, scheme, config, fast_lane):
+    registry = StatRegistry()
+    result = simulate(trace, make_scheme(scheme), config,
+                      fast_lane=fast_lane, stats=registry)
+    return (
+        json.dumps(result.to_record(), sort_keys=True),
+        json.dumps(registry.snapshot(), sort_keys=True),
+    )
+
+
+_RACK_32 = dict(
+    hosts=32, scheme="pipm", workload="pr", accesses_per_host=1500,
+    seed=7, opens_at=0.3, closes_at=0.7, victim=5,
+)
+
+
+class TestLaneFuzz:
+    @settings(
+        max_examples=30,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=lane_cases())
+    @example(case=LaneCase(topology="single-switch", faults="switchdown",
+                           **_RACK_32))
+    @example(case=LaneCase(topology="two-tier:hosts-per-leaf=8",
+                           faults="hostdown-rejoin", **_RACK_32))
+    @example(case=LaneCase(
+        hosts=6, topology="flat", faults="stalls", scheme="pipm",
+        workload="ycsb", accesses_per_host=2000, seed=11, opens_at=0.2,
+        closes_at=0.6, victim=1,
+    ))
+    @example(case=LaneCase(
+        hosts=8, topology="two-tier:hosts-per-leaf=2", faults="hostdown",
+        scheme="memtis", workload="tpcc", accesses_per_host=2000, seed=3,
+        opens_at=0.4, closes_at=0.8, victim=6,
+    ))
+    def test_lane_on_matches_lane_off(self, case):
+        base = case.base_config()
+        trace = _trace(
+            case.workload, base,
+            WorkloadScale(
+                accesses_per_host=case.accesses_per_host,
+                footprint_bytes=512 * units.KB,
+                seed=case.seed,
+            ),
+        )
+        # Fault epochs are placed inside the run: fractions of the
+        # fault-free run's simulated length.
+        span_ns = simulate(trace, make_scheme(case.scheme), base).exec_time_ns
+        spec = case.fault_spec(base, span_ns)
+        config = base
+        if spec is not None:
+            config = base.replace(faults=FaultConfig.parse(spec))
+        reference = _run_with_registry(trace, case.scheme, config, False)
+        laned = _run_with_registry(trace, case.scheme, config, True)
+        assert laned[0] == reference[0], "to_record() differs"
+        assert laned[1] == reference[1], "StatRegistry.snapshot() differs"

@@ -569,10 +569,10 @@ class TestLinkAccountingParity:
 
 
 # ======================================================================
-# End-to-end: flat identity and backend agreement
+# End-to-end: flat identity and fast lane on/off agreement
 # ======================================================================
 class TestTopologyEndToEnd:
-    def _run(self, topology, scheme="pipm", backend="loop", hosts=4,
+    def _run(self, topology, scheme="pipm", fast_lane=True, hosts=4,
              faults=None):
         config = SystemConfig.scaled(num_hosts=hosts)
         if topology is not None:
@@ -586,32 +586,33 @@ class TestTopologyEndToEnd:
         config.validate()
         return run_experiment(
             "pr", scheme, config, scale=WorkloadScale.tiny(),
-            backend=backend,
+            fast_lane=fast_lane,
         )
 
-    @pytest.mark.parametrize("backend", ["loop", "vector"])
-    def test_flat_is_byte_identical_to_default(self, backend):
+    @pytest.mark.parametrize("fast_lane", [False, True],
+                             ids=["loop", "fast-lane"])
+    def test_flat_is_byte_identical_to_default(self, fast_lane):
         """An explicit flat fabric must not move a single float of the
         pre-fabric (default-config) model the goldens pin."""
         for scheme in ("pipm", "native", "memtis"):
-            default = self._run(None, scheme, backend)
-            flat = self._run("flat", scheme, backend)
+            default = self._run(None, scheme, fast_lane)
+            flat = self._run("flat", scheme, fast_lane)
             assert flat.to_record() == default.to_record(), (
-                scheme, backend
+                scheme, fast_lane
             )
 
     @pytest.mark.parametrize("topology", ["single-switch", "two-tier"])
     def test_backends_agree_on_switched_fabrics(self, topology):
-        loop = self._run(topology, backend="loop")
-        vector = self._run(topology, backend="vector")
-        assert vector.to_record() == loop.to_record()
+        """The fast lane runs on switched paths: lane on == lane off."""
+        reference = self._run(topology, fast_lane=False)
+        laned = self._run(topology)
+        assert laned.to_record() == reference.to_record()
 
     def test_backends_agree_under_switchdown(self):
-        loop = self._run("single-switch", backend="loop",
-                         faults="switchdown")
-        vector = self._run("single-switch", backend="vector",
-                           faults="switchdown")
-        assert vector.to_record() == loop.to_record()
+        reference = self._run("single-switch", fast_lane=False,
+                              faults="switchdown")
+        laned = self._run("single-switch", faults="switchdown")
+        assert laned.to_record() == reference.to_record()
 
     def test_switched_fabrics_cost_time(self):
         flat = self._run("flat")

@@ -70,18 +70,18 @@ def _fabric_cases():
     }
 
 
-def _run_fabric_case(workload, scheme, config, backend="loop"):
+def _run_fabric_case(workload, scheme, config, fast_lane=True):
     registry = StatRegistry()
     result = run_experiment(
         workload, scheme, config, scale=WorkloadScale.tiny(),
-        backend=backend, stats=registry,
+        fast_lane=fast_lane, stats=registry,
     )
     return {"record": result.to_record(), "stats": registry.snapshot()}
 
 
-def _fabric_records(backend="loop"):
+def _fabric_records(fast_lane=True):
     return {
-        key: _run_fabric_case(workload, scheme, config, backend)
+        key: _run_fabric_case(workload, scheme, config, fast_lane)
         for key, (workload, scheme, config) in _fabric_cases().items()
     }
 
@@ -108,11 +108,11 @@ def test_records_match_golden_file():
     assert problems == [], "\n".join(problems)
 
 
-def test_vector_backend_matches_golden_file():
-    """The batched engine backend must reproduce the same pinned bytes."""
+def test_lane_off_matches_golden_file():
+    """The slow path alone (fast lane off) reproduces the same bytes."""
     golden = json.loads(GOLDEN.read_text())
     result = run_microbench(
-        scale="tiny", cases=PROFILE_CASES, backend="vector"
+        scale="tiny", cases=PROFILE_CASES, fast_lane=False
     )
     problems = compare_records(result.records(), golden["records"])
     assert problems == [], "\n".join(problems)
@@ -137,12 +137,13 @@ def test_golden_records_round_trip():
         assert result.to_record() == record, key
 
 
-@pytest.mark.parametrize("backend", ["loop", "vector"])
-def test_fabric_records_match_golden_file(backend):
+@pytest.mark.parametrize("fast_lane", [False, True],
+                         ids=["loop", "fast-lane"])
+def test_fabric_records_match_golden_file(fast_lane):
     """Switched and faulted runs: records and every registry counter."""
     golden = json.loads(FABRIC_GOLDEN.read_text())
     assert golden["scale"] == "tiny"
-    problems = compare_records(_fabric_records(backend), golden["records"])
+    problems = compare_records(_fabric_records(fast_lane), golden["records"])
     assert problems == [], "\n".join(problems)
 
 

@@ -1,4 +1,4 @@
-"""Backend-conformance pass (VEC001-004) against the real vector engine.
+"""Fast-lane conformance pass (VEC001-004) against the real engine.
 
 These tests run the pass over the actual ``sim/engine.py`` /
 ``sim/system.py`` sources, assert the tree is conformant, then inject
@@ -78,6 +78,15 @@ class TestSeededDefects:
         findings = analyze_backend_conformance(engine, system)
         assert "VEC002" in _rules(findings)
         assert any("upgrade-llc-hit" in f.message for f in findings)
+
+    def test_vec002_stripped_run_loop_bail(self, sources):
+        # The L1-hit upgrade bail sits in the run loop's lane branch, not
+        # in a closure; the tag diff must still pair it.
+        engine, system = sources
+        engine = _surgery(engine, "  # simcheck: bails[upgrade-l1-hit]", "")
+        findings = analyze_backend_conformance(engine, system)
+        assert "VEC002" in _rules(findings)
+        assert any("upgrade-l1-hit" in f.message for f in findings)
 
     def test_vec003_mutation_in_classify_phase(self, sources):
         # The classify phase must stay pure — inject a stats write right

@@ -1,10 +1,14 @@
 """All thirteen Table 1 workload generators."""
 
+import dataclasses
+import platform
+
 import numpy as np
 import pytest
 
 from repro import units
 from repro.workloads import WorkloadScale, generate, workload_names
+from repro.workloads import registry
 from repro.workloads.registry import WORKLOADS
 
 SCALE = WorkloadScale.tiny()
@@ -34,6 +38,37 @@ class TestInventory:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             generate("spec2017", scale=SCALE)
+
+
+class TestHeapRelease:
+    """generate() hands the generator's freed scratch back to the OS."""
+
+    def test_trimmed_once_after_the_generator_runs(self, monkeypatch):
+        calls = []
+        pr = WORKLOADS["pr"]
+
+        def generator(ctx):
+            calls.append("generator")
+            return pr.generator(ctx)
+
+        monkeypatch.setitem(
+            WORKLOADS, "pr", dataclasses.replace(pr, generator=generator)
+        )
+        monkeypatch.setattr(
+            registry, "_malloc_trim", lambda pad: calls.append(("trim", pad))
+        )
+        generate("pr", scale=SCALE)
+        assert calls == ["generator", ("trim", 0)]
+
+    def test_no_trim_where_the_c_library_has_none(self, monkeypatch):
+        monkeypatch.setattr(registry, "_malloc_trim", None)
+        trace = generate("pr", scale=SCALE)
+        assert trace.total_accesses == 4 * SCALE.accesses_per_host
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="malloc_trim is a glibc function")
+    def test_glibc_trim_resolved(self):
+        assert registry._malloc_trim is not None
 
 
 class TestEveryGenerator:

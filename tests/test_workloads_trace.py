@@ -201,8 +201,7 @@ class TestBakedStream:
         assert baked.addr.tolist() == [128, 4096, 64]
         assert baked.is_write.tolist() == [True, False, False]
         assert baked.core.tolist() == [0, 1, 3]
-        assert baked.line.tolist() == [2, 64, 1]
-        assert baked.page.tolist() == [0, 1, 0]
+        assert baked.gap.tolist() == [2, 5, 1]
 
     def test_records_round_trip(self):
         trace = self._trace()
@@ -210,6 +209,23 @@ class TestBakedStream:
         records = baked.records()
         assert records == trace.baked_stream(0, ns_per_instr=0.5)
         assert all(isinstance(w, bool) for _, _, w, _ in records)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            [(2, 128, 1, 0), (5, 4096, 0)],
+            [(2, 128, 1, 0), (5, 4096, 0, 1, 9)],
+            # Twelve fields in all: they would reshape to 3 records of 4.
+            [(2, 128, 1)] * 4,
+        ],
+        ids=["short", "long", "all-short"],
+    )
+    def test_malformed_record_rejected(self, stream):
+        trace = WorkloadTrace(
+            name="t", num_hosts=1, streams=[stream], footprint_bytes=8192,
+        )
+        with pytest.raises(ValueError, match="4 fields"):
+            trace.baked_arrays(0, ns_per_instr=0.5)
 
 
 class TestStreamBuilder:
