@@ -194,7 +194,7 @@ def _make_flat_path(system, host_id, stall_by_service):
     this host still holds the earliest heap turn.
     """
     if system._faults_on:
-        return None  # simcheck: bails[faults-active]
+        return None
     is_pipm = system._is_pipm
     is_page_map = system._is_page_map
     all_local = system.all_local
@@ -361,14 +361,13 @@ def _make_flat_path(system, host_id, stall_by_service):
         nonlocal t_h, t_m, t_e, c_h, c_m, c_e, d_l, d_h, d_ce
         nonlocal rt_n, wb_n, p_h, p_m, p_e, g_h, g_m, g_e
         # ============ phase 1: classify (pure reads only) ============
-        # simcheck: phase[classify]
         page = line >> _LINE_TO_PAGE
         shared = addr < cxl_end
         loc = None
         if shared and is_page_map:
             loc = page_map.get(page)
             if loc is not None and loc != host_id:
-                return None  # simcheck: bails[inter-host-page] non-cacheable 4-hop
+                return None  # inter-host page: non-cacheable 4-hop
         llc_set = llc_sets[line & llc_mask]
         llc_entry = llc_set.get(line)
         pipm_entry = None
@@ -378,7 +377,7 @@ def _make_flat_path(system, host_id, stall_by_service):
         current = NO_HOST
         if llc_entry is not None:
             if is_write and not llc_entry.dirty and llc_entry.state == 0:
-                return None  # simcheck: bails[upgrade-llc-hit] S -> M on LLC hit
+                return None  # S -> M on LLC hit
             flow = 0  # LLC hit
         elif not shared or all_local:
             flow = 1  # host-private (or all-local scheme): local DRAM
@@ -387,7 +386,7 @@ def _make_flat_path(system, host_id, stall_by_service):
             if gentry is not None:
                 current = gentry.current_host
             if current != NO_HOST and current != host_id:
-                return None  # simcheck: bails[pipm-inter-host] migrated elsewhere
+                return None  # migrated elsewhere
             if (
                 current == NO_HOST
                 and gentry is not None
@@ -397,7 +396,7 @@ def _make_flat_path(system, host_id, stall_by_service):
             ):
                 nxt = gentry.counter + (1 if gentry.counter < gmax else 0)
                 if nxt >= threshold:
-                    return None  # simcheck: bails[pipm-promotion] vote threshold
+                    return None  # vote threshold
             pipm_entry = local_entries.get(page)
             if pipm_entry is not None and (
                 pipm_entry.migrated_lines >> (line & _LINES_MASK) & 1
@@ -421,10 +420,9 @@ def _make_flat_path(system, host_id, stall_by_service):
                 and dentry.owner >= 0
                 and hosts[dentry.owner].holds_line(line)
             ):
-                return None  # simcheck: bails[dirty-owner-forward] 4-hop forward
+                return None  # dirty owner: 4-hop forward
 
         # ============ phase 2: execute (no bail past here) ============
-        # simcheck: phase[execute]
         # TLB translate (access() charges it before the L1 probe).
         tlb_set = tlb_sets[page & tlb_mask]
         tlb_entry = tlb_set.get(page)
@@ -1012,7 +1010,6 @@ class SimulationEngine:
                         # No lane run may cross a crash/rejoin epoch; while
                         # the governor holds promotions suspended the fence
                         # is 0.0 so every access runs the slow path.
-                        # simcheck: bails[crash-epoch]
                         crash_bound = injector.crash_fence(clock)
                         if crash_bound < event_bound:
                             event_bound = crash_bound
@@ -1050,7 +1047,7 @@ class SimulationEngine:
                         ):
                             # Write hit on a Shared copy: the S -> M
                             # upgrade invalidates other hosts.
-                            break  # simcheck: bails[upgrade-l1-hit]
+                            break
                         entry.dirty = True
                     # Commit the hit: exactly the slow path's move-to-end
                     # and counter, plus the TLB translate it charges (the

@@ -151,9 +151,7 @@ class MultiHostSystem:
             self.injector = FaultInjector(plan)
             for h, link in enumerate(self.links):
                 link.attach_faults(self.injector.link(h))
-            self._faults_on = (  # simcheck: escalates[faults-active]
-                self.injector.can_disrupt_transfers
-            )
+            self._faults_on = self.injector.can_disrupt_transfers
             self.watchdog = InvariantWatchdog(
                 self,
                 mode=config.faults.watchdog_mode,
@@ -347,7 +345,6 @@ class MultiHostSystem:
                 if shared and not entry.dirty and entry.state == 0:
                     # Write hit on a Shared copy: S -> M upgrade must
                     # invalidate the other hosts' copies first.
-                    # simcheck: escalates[upgrade-l1-hit]
                     lat += self._upgrade(host_id, line, now)
                     entry.state = 1
                     llc_copy = host.llc.peek(line)
@@ -364,7 +361,6 @@ class MultiHostSystem:
         if shared and self._is_page_map:
             loc = self.page_map.get(page)
             if loc is not None and loc != host_id:
-                # simcheck: escalates[inter-host-page]
                 return self._inter_host_nc(host_id, loc, page, addr,
                                            is_write, now, lat)
         else:
@@ -380,7 +376,6 @@ class MultiHostSystem:
             llc_set[line] = llc_entry
             if is_write and not llc_entry.dirty and llc_entry.state == 0:
                 # Upgrade an S copy: other sharers must be invalidated.
-                # simcheck: escalates[upgrade-llc-hit]
                 lat += self._upgrade(host_id, line, now)
                 llc_entry.state = 1
             if is_write:
@@ -469,7 +464,7 @@ class MultiHostSystem:
             and entry.owner >= 0
             and self.hosts[entry.owner].holds_line(line)
         ):
-            owner = entry.owner  # simcheck: escalates[dirty-owner-forward]
+            owner = entry.owner
             # Forward to the owner; dirty data returns via the CXL node.
             pair = self.topology.pair(host_id, owner)
             lat += (
@@ -686,7 +681,6 @@ class MultiHostSystem:
             current = engine.global_table.current_host(page)
 
         if current != NO_HOST and current != host_id:
-            # simcheck: escalates[pipm-inter-host]
             # Under fault injection the migrate-back/revocation sequence is
             # transactional: snapshot first, roll back on a failed transfer
             # and degrade to a direct device access.
@@ -752,7 +746,6 @@ class MultiHostSystem:
                 # hysteresis / crash recovery in progress).
                 pass
             else:
-                # simcheck: escalates[pipm-promotion]
                 dest = engine.record_cxl_access(page, host_id)
                 if dest is not None:
                     self.migrations += 1
@@ -1129,7 +1122,6 @@ class MultiHostSystem:
         injector = self.injector
         if now < injector.next_crash_ns:
             return
-        # simcheck: escalates[crash-epoch]
         for host, is_rejoin in injector.due_crash_events(now):
             if is_rejoin:
                 self._rejoin_host(host, now)

@@ -5,14 +5,19 @@ Two halves, one ``python -m repro lint`` entry point:
 * an AST lint engine (:mod:`.engine`, rules in :mod:`.rules`) enforcing
   the determinism contract the content-addressed bench cache depends on
   — no wall clocks, no unseeded RNG, no set-order-dependent results —
-  plus unit-safety and stats-discipline heuristics;
+  plus unit-safety, stats-discipline, mutable-default and robustness
+  heuristics;
 * a protocol-table analyzer (:mod:`.protocol`) that imports the
   declarative ``TRANSITION_TABLE`` views of the coherence protocols and
   statically checks exhaustiveness, determinism, message closure, and
-  wait-for-cycle freedom without simulating a single step.
+  wait-for-cycle freedom without simulating a single step, plus a
+  drift pass (:mod:`.drift`) that holds those tables to the handler
+  code.
 
 Findings share one record type (:mod:`.findings`) and one committed
 baseline mechanism (:mod:`.baseline`) so CI fails only on regressions.
+The engine's fast lane is not checked here: differential tests run it
+against the slow path and compare every counter.
 """
 
 from __future__ import annotations

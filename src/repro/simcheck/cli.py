@@ -2,25 +2,20 @@
 
 Exit codes: ``0`` clean (info notes allowed), ``1`` at least one error
 finding survived suppressions and the baseline, ``2`` usage or
-environment problems (unknown scope, unreadable baseline, bad path,
-conflicting flags).
+environment problems (unknown scope, unreadable baseline, bad path).
 
 Pass layout
 -----------
-One invocation runs up to three analysis families, each gated by what
+One invocation runs up to two analysis families, each gated by what
 the requested paths actually cover:
 
-* the AST rule engine (DET/ORD/UNIT/FLOW/... rules) over every in-scope
-  ``.py`` file, plus the fast-lane conformance pass (``VEC001-004``)
-  when the linted set includes ``sim/engine.py``;
+* the AST rule engine (DET/ORD/UNIT/STAT/MUT/ROB/CON rules) over every
+  in-scope ``.py`` file;
 * the protocol-table analyzer (``PROTO001-006``) and the table<->code
   drift pass (``PROTO007``) when it includes the coherence modules.
 
-``--no-protocol`` drops the second family; ``--protocol-only`` drops
-the first.  CI runs the two halves as separate matrix jobs so a
-protocol regression and an engine regression fail independently.
-Conformance/drift findings are never baselined — they assert the tree
-is self-consistent *now*.
+Drift findings are never baselined — they assert the tree is
+self-consistent *now*.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import pathlib
 import sys
 from typing import List, Optional
 
@@ -40,7 +34,6 @@ from .baseline import (
     prune_baseline,
     write_baseline,
 )
-from .conformance import CONFORMANCE_MODULES, analyze_repo_conformance
 from .drift import analyze_repo_drift
 from .engine import (
     LintEngine,
@@ -87,15 +80,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "rewrite the baseline, and exit",
     )
     parser.add_argument(
-        "--no-protocol", action="store_true",
-        help="skip the protocol-table analyzer and the PROTO007 drift pass",
-    )
-    parser.add_argument(
-        "--protocol-only", action="store_true",
-        help="run only the protocol-table analyzer and drift pass "
-             "(skip AST rules and fast-lane conformance)",
-    )
-    parser.add_argument(
         "--strict-ignores", action="store_true",
         help="escalate unused '# simcheck: ignore' pragmas (SUPP001) "
              "from notes to errors",
@@ -111,13 +95,6 @@ def _list_rules() -> int:
         scopes = ",".join(rule.scopes)
         print(f"{rule.id:<9} [{scopes}] {rule.title}")
     print(f"{'SUPP001':<9} [engine] note: unused/unknown suppression pragma")
-    print(f"{'VEC001':<9} [lane] fast-lane stat cell incremented but "
-          f"never flushed")
-    print(f"{'VEC002':<9} [lane] escalation branch without a matching "
-          f"fast-lane bail (or vice versa)")
-    print(f"{'VEC003':<9} [lane] classify-phase closure mutates shared "
-          f"state")
-    print(f"{'VEC004':<9} [lane] flush reads a cell it never resets")
     print(f"{'PROTO001':<9} [tables] unhandled (state, event) pair")
     print(f"{'PROTO002':<9} [tables] ambiguous transitions for one stimulus")
     print(f"{'PROTO003':<9} [tables] emitted/awaited message without peer")
@@ -132,14 +109,6 @@ def _list_rules() -> int:
 def run_lint(args) -> int:
     if args.list_rules:
         return _list_rules()
-
-    if args.no_protocol and args.protocol_only:
-        print(
-            "error: --no-protocol and --protocol-only are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
 
     root = os.getcwd()
 
@@ -166,33 +135,23 @@ def run_lint(args) -> int:
         relativize(path, root) for path in iter_python_files(args.paths)
     }
 
-    report = LintReport()
-    if args.protocol_only:
-        report.files_checked = 0
-    else:
-        engine = LintEngine(scopes=scopes, root=root)
-        result = engine.run(args.paths)
-        report.findings = list(result.findings)
-        report.suppressed = result.suppressed
-        report.files_checked = result.files_checked
-
-        # Fast-lane conformance fires only when the run covers the
-        # engine module (so `lint benchmarks/` stays fast).
-        conf_findings, _ = analyze_repo_conformance(
-            pathlib.Path(root), linted & set(CONFORMANCE_MODULES)
-        )
-        report.findings.extend(conf_findings)
+    engine = LintEngine(scopes=scopes, root=root)
+    result = engine.run(args.paths)
+    report = LintReport(
+        findings=list(result.findings),
+        suppressed=result.suppressed,
+        files_checked=result.files_checked,
+    )
 
     # The protocol pass fires only when the run actually covers the
     # modules that define the tables.
-    if not args.no_protocol:
-        wanted = [rel for rel in PROTOCOL_MODULES if rel in linted]
-        if wanted:
-            table_findings, checked = analyze_repo_tables(root, wanted)
-            report.findings.extend(table_findings)
-            report.tables_checked = len(checked)
-            drift_findings, _ = analyze_repo_drift(root, wanted)
-            report.findings.extend(drift_findings)
+    wanted = [rel for rel in PROTOCOL_MODULES if rel in linted]
+    if wanted:
+        table_findings, checked = analyze_repo_tables(root, wanted)
+        report.findings.extend(table_findings)
+        report.tables_checked = len(checked)
+        drift_findings, _ = analyze_repo_drift(root, wanted)
+        report.findings.extend(drift_findings)
 
     if args.strict_ignores:
         report.findings = [

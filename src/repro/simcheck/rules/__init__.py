@@ -7,4 +7,3 @@ from . import unit_safety  # noqa: F401
 from . import stats_discipline  # noqa: F401
 from . import mutables  # noqa: F401
 from . import robustness  # noqa: F401
-from . import flow_rules  # noqa: F401

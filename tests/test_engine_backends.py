@@ -5,14 +5,18 @@ configuration, a run with every host's fast lane on must match the
 reference run with it off (``fast_lane=False``, every access through the
 serialized slow path) — same ``SimulationResult.to_record()``, same
 floats, same counters, same per-host breakdowns.  The lane defers integer
-counters and folds them in at the end of the run, so the full
-``StatRegistry.snapshot()`` is compared too: a lost fold shows up only
-there.
+counters and folds them in at the end of the run.  Most of those folds
+land in counters that neither the record nor the registry holds: the
+hits, misses and evictions of the TLBs, L1s, LLCs and remap caches, and
+the device directory's lookup counts.  So every comparison below reads
+those off the system after the run, next to the record and the full
+``StatRegistry.snapshot()``; a lost fold shows up in one of the three.
 
 The hand-picked cases below pin the profile microbench matrix plus the
 configurations that fence or disable the lane (fault plans, watchdog
-audits, interval schemes); the hypothesis fuzz draws hosts, fabric
-topology, fault plan, scheme and workload at random.
+audits, interval schemes, the ``local-only`` scheme — the only one whose
+accesses take the lane's host-private flow); the hypothesis fuzz draws
+hosts, fabric topology, fault plan, scheme and workload at random.
 """
 
 import dataclasses
@@ -24,12 +28,12 @@ from hypothesis import strategies as st
 
 from repro import SystemConfig, units
 from repro.config import FaultConfig
+from repro.pipm.remap_cache import InfiniteRemapCache
 from repro.policies import SCHEME_CLASSES, make_scheme
 from repro.sim import engine as engine_module
-from repro.sim.engine import _make_flat_path, simulate
+from repro.sim.engine import SimulationEngine, _make_flat_path, simulate
 from repro.sim.profile import PROFILE_CASES
 from repro.sim.system import MultiHostSystem
-from repro.stats import StatRegistry
 from repro.workloads.registry import generate
 from repro.workloads.trace import WorkloadScale
 
@@ -47,22 +51,58 @@ def _trace(workload: str, config: SystemConfig, scale=None):
     )
 
 
-def _records_for_lanes(workload: str, scheme: str, config: SystemConfig):
-    trace = _trace(workload, config)
+def _cache_counters(system: MultiHostSystem) -> dict:
+    """The counters the lane folds into cache objects, by cache."""
+    counters = {}
+    for host in system.hosts:
+        for cache in (host.tlb._cache, *host.l1s, host.llc):
+            counters[cache.name] = (cache.hits, cache.misses, cache.evictions)
+    if system.engine is not None:
+        for remap in (system.engine.global_cache, *system.engine.local_caches):
+            evictions = (
+                None if isinstance(remap, InfiniteRemapCache)
+                else remap._cache.evictions
+            )
+            counters[remap.name] = (remap.hits, remap.misses, evictions)
+    directory = system.device_dir
+    counters["device_dir"] = (
+        directory.lookups, directory.hits, directory.capacity_evictions,
+    )
+    return counters
+
+
+def _observe(trace, scheme: str, config: SystemConfig, fast_lane: bool):
+    """Run ``trace`` as :func:`simulate` does; everything the lane touches."""
+    system = MultiHostSystem(
+        config, make_scheme(scheme), workload_mlp=trace.mlp,
+        footprint_pages=max(1, trace.footprint_bytes // 4096),
+    )
+    result = SimulationEngine(system, trace, fast_lane=fast_lane).run()
     return {
-        fast_lane: _canon(
-            simulate(trace, make_scheme(scheme), config, fast_lane=fast_lane)
-        )
-        for fast_lane in (False, True)
+        "to_record()": _canon(result),
+        "StatRegistry.snapshot()": json.dumps(
+            system.stats.snapshot(), sort_keys=True
+        ),
+        "cache counters": _cache_counters(system),
     }
 
 
+def _assert_lanes_agree(trace, scheme: str, config: SystemConfig):
+    reference = _observe(trace, scheme, config, fast_lane=False)
+    laned = _observe(trace, scheme, config, fast_lane=True)
+    for what, expected in reference.items():
+        assert laned[what] == expected, f"{what} differs"
+
+
 class TestBackendParity:
-    @pytest.mark.parametrize("workload,scheme", PROFILE_CASES)
+    # local-only is the one scheme whose misses take the lane's
+    # host-private flow: no workload issues a host-private address.
+    @pytest.mark.parametrize(
+        "workload,scheme", [*PROFILE_CASES, ("pr", "local-only")]
+    )
     def test_profile_cases_identical(self, workload, scheme):
         config = SystemConfig.scaled()
-        records = _records_for_lanes(workload, scheme, config)
-        assert records[True] == records[False]
+        _assert_lanes_agree(_trace(workload, config), scheme, config)
 
     @pytest.mark.parametrize("scheme", ["native", "pipm"])
     def test_fault_plan_identical(self, scheme):
@@ -72,23 +112,20 @@ class TestBackendParity:
         config = dataclasses.replace(
             SystemConfig.scaled(), faults=FaultConfig.parse("storm:seed=5")
         )
-        records = _records_for_lanes("pr", scheme, config)
-        assert records[True] == records[False]
+        _assert_lanes_agree(_trace("pr", config), scheme, config)
 
     def test_watchdog_audits_identical(self):
         config = dataclasses.replace(
             SystemConfig.scaled(),
             faults=FaultConfig.parse("none:watchdog-period-ns=5e5"),
         )
-        records = _records_for_lanes("pr", "pipm", config)
-        assert records[True] == records[False]
+        _assert_lanes_agree(_trace("pr", config), "pipm", config)
 
     def test_interval_scheme_identical(self):
         # memtis ticks on an interval: the lane must stop at exactly the
         # tick boundaries the slow path sees.
         config = SystemConfig.scaled()
-        records = _records_for_lanes("ycsb", "memtis", config)
-        assert records[True] == records[False]
+        _assert_lanes_agree(_trace("ycsb", config), "memtis", config)
 
 
 class TestBackendSelection:
@@ -161,7 +198,7 @@ class TestLaneEligibility:
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: lane on == lane off, records and registry
+# Differential fuzz: lane on == lane off, records, registry and caches
 # ----------------------------------------------------------------------
 TOPOLOGIES = (
     "flat",
@@ -177,7 +214,7 @@ FAULT_KINDS = (
     "none", "flaky", "storm", "hostdown", "hostdown-rejoin", "switchdown",
     "watchdog", "stalls",
 )
-SCHEMES = tuple(name for name in SCHEME_CLASSES if name != "local-only")
+SCHEMES = tuple(SCHEME_CLASSES)
 WORKLOADS = ("pr", "ycsb", "tpcc")
 
 
@@ -262,16 +299,6 @@ def lane_cases(draw):
     )
 
 
-def _run_with_registry(trace, scheme, config, fast_lane):
-    registry = StatRegistry()
-    result = simulate(trace, make_scheme(scheme), config,
-                      fast_lane=fast_lane, stats=registry)
-    return (
-        json.dumps(result.to_record(), sort_keys=True),
-        json.dumps(registry.snapshot(), sort_keys=True),
-    )
-
-
 _RACK_32 = dict(
     hosts=32, scheme="pipm", workload="pr", accesses_per_host=1500,
     seed=7, opens_at=0.3, closes_at=0.7, victim=5,
@@ -318,7 +345,4 @@ class TestLaneFuzz:
         config = base
         if spec is not None:
             config = base.replace(faults=FaultConfig.parse(spec))
-        reference = _run_with_registry(trace, case.scheme, config, False)
-        laned = _run_with_registry(trace, case.scheme, config, True)
-        assert laned[0] == reference[0], "to_record() differs"
-        assert laned[1] == reference[1], "StatRegistry.snapshot() differs"
+        _assert_lanes_agree(trace, case.scheme, config)

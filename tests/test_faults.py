@@ -203,13 +203,31 @@ class TestCxlLink:
         assert total_faulty > 200 * base
 
     def test_demand_giveup_absorbs_penalty_without_raising(self):
-        link, injector, _ = self._faulty_link(
+        link, injector, link_cfg = self._faulty_link(
             "none:transfer-error-rate=0.9,max-attempts=2,seed=1"
         )
+        faults = injector.link(0)
+        clean = self._link()
+        serialization = units.transfer_ns(
+            units.CACHE_LINE, link_cfg.bandwidth_gbs
+        )
+        counters = injector.counters
         for _ in range(50):
-            link.transfer(TO_DEVICE, 0.0, units.CACHE_LINE)  # must not raise
-        assert injector.counters.link_giveups > 0
-        assert injector.counters.recovery_ns > 0
+            retries, giveups = counters.link_retries, counters.link_giveups
+            # Starting at the link's occupancy, no call queues.
+            got = link.transfer(  # must not raise
+                TO_DEVICE, link.occupancy_until(TO_DEVICE), units.CACHE_LINE
+            )
+            expected = clean.transfer(
+                TO_DEVICE, clean.occupancy_until(TO_DEVICE), units.CACHE_LINE
+            )
+            for k in range(counters.link_retries - retries):
+                expected += faults.retry_backoff_ns * 2 ** k + serialization
+            if counters.link_giveups > giveups:
+                expected += faults.giveup_penalty_ns
+            assert got == expected
+        assert counters.link_giveups > 0
+        assert counters.recovery_ns > 0
 
     def test_faultable_giveup_raises(self):
         link, injector, _ = self._faulty_link(

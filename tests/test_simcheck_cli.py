@@ -3,8 +3,8 @@
 Exit contract: 0 = clean (info notes allowed), 1 = error findings
 survived suppressions + baseline, 2 = usage/environment problem.  Each
 cell of the matrix is pinned here under ``--json``, ``--baseline``,
-and empty-scope variations, plus the v2 flags (``--prune-baseline``,
-``--strict-ignores``, ``--protocol-only``).
+and empty-scope variations, plus ``--prune-baseline`` and
+``--strict-ignores``.
 """
 
 import json
@@ -121,11 +121,6 @@ class TestExitTwo:
         assert main(["src/repro", "--baseline", "corrupt.json"]) == 2
         assert "cannot read baseline" in capsys.readouterr().err
 
-    def test_conflicting_protocol_flags(self, repo, capsys):
-        _write(repo, "src/repro/ok.py", CLEAN)
-        assert main(["src/repro", "--no-protocol", "--protocol-only"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
     def test_prune_missing_baseline(self, repo, capsys):
         assert main(["--prune-baseline", "--baseline", "gone.json"]) == 2
         assert "cannot prune baseline" in capsys.readouterr().err
@@ -151,12 +146,8 @@ class TestPruneBaseline:
         assert len(load_baseline("simcheck-baseline.json")) == 1
 
 
-class TestConformanceNeverBaselined:
-    def test_vec_and_proto007_are_ineligible(self, tmp_path):
-        vec = Finding(
-            rule="VEC001", path="src/repro/sim/engine.py", line=10,
-            message="cell never flushed", line_text="t_h += 1",
-        )
+class TestDriftNeverBaselined:
+    def test_proto007_is_ineligible(self, tmp_path):
         drift = Finding(
             rule="PROTO007", path="src/repro/coherence/base_protocol.py",
             line=1, message="drift", line_text="pipm::drift::x",
@@ -166,16 +157,12 @@ class TestConformanceNeverBaselined:
             message="wall clock", line_text="t = time.time()",
         )
         baseline_path = tmp_path / "b.json"
-        write_baseline(str(baseline_path), [vec, drift, det])
+        write_baseline(str(baseline_path), [drift, det])
         baseline = load_baseline(str(baseline_path))
         assert list(baseline) == [det.fingerprint()]
 
-        # Even a hand-edited entry must not grandfather them.
-        forced = {
-            vec.fingerprint(): 1,
-            drift.fingerprint(): 1,
-            det.fingerprint(): 1,
-        }
-        fresh, grandfathered = apply_baseline([vec, drift, det], forced)
+        # Even a hand-edited entry must not grandfather it.
+        forced = {drift.fingerprint(): 1, det.fingerprint(): 1}
+        fresh, grandfathered = apply_baseline([drift, det], forced)
         assert grandfathered == 1
-        assert {f.rule for f in fresh} == {"VEC001", "PROTO007"}
+        assert [f.rule for f in fresh] == ["PROTO007"]

@@ -56,6 +56,31 @@ class TestDeterminismRules:
             b = np.random.default_rng()
         """)
         assert _rules(findings) == ["DET002", "DET002"]
+        # An unseeded generator aliased into the simulation entry point,
+        # and one left unseeded on a single branch: the constructor call
+        # itself is the finding, wherever the object flows afterwards.
+        aliased = _lint("""
+            import numpy as np
+
+            def run(spec):
+                rng = np.random.default_rng()
+                gen = rng
+                return simulate(spec, gen)
+        """)
+        assert _rules(aliased) == ["DET002"]
+        assert aliased[0].line == 5
+        half_seeded = _lint("""
+            import random
+
+            def pick(flag, n):
+                if flag:
+                    rng = random.Random(7)
+                else:
+                    rng = random.Random()
+                return rng.randrange(n)
+        """)
+        assert _rules(half_seeded) == ["DET002"]
+        assert half_seeded[0].line == 8
 
     def test_seeded_rng_allowed(self):
         findings = _lint("""
