@@ -598,7 +598,8 @@ def _cmd_profile(args) -> int:
     )
     for case in result.cases:
         print(f"  {case.key:<16} {case.accesses:>9} accesses  "
-              f"{case.wall_s:>7.2f}s  {case.accesses_per_s:>10,.0f} acc/s")
+              f"{case.wall_s:>7.2f}s  {case.accesses_per_s:>10,.0f} acc/s  "
+              f"lane {case.lane_share:>6.1%}")
     print(f"  {'aggregate':<16} {result.total_accesses:>9} accesses  "
           f"{result.total_wall_s:>7.2f}s  "
           f"{result.aggregate_accesses_per_s:>10,.0f} acc/s")

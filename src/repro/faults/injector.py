@@ -7,6 +7,13 @@ consults the injector for degraded-link gating, host stalls, poisoned
 lines, and host crashes; everything feeds one shared
 :class:`FaultCounters` record that the simulation result reports from.
 
+The engine's fast lane runs under every plan.  Stall windows, poison
+arrivals and crash epochs are event bounds that no lane run crosses, and
+the lane's link traffic goes through the links' own transfer methods.
+The only injector state a lane access reads is the migration governor
+(:meth:`FaultInjector.promotion_blocked`): its answer, with pure reads,
+then the real call whenever that call would block a promotion.
+
 The zero-plan guarantee: when a fault source cannot fire, the
 corresponding hook is ``None`` (links) or short-circuits on a cached
 boolean (stalls/poison/crashes), so an all-zero plan leaves the simulated
@@ -149,7 +156,8 @@ class FaultInjector:
         #: The next unconsumed crash/rejoin epoch (inf when none remain).
         #: A plain attribute: the engine's slow path compares every
         #: access's clock against it (via ``MultiHostSystem.maybe_crash``),
-        #: and only :meth:`due_crash_events` moves it.
+        #: the fast lane uses it as an event bound, and only
+        #: :meth:`due_crash_events` moves it.
         self.next_crash_ns = schedule[0][0] if schedule else _INF
         self.has_crashes = bool(schedule)
         self.crashed: Set[int] = set()
@@ -161,6 +169,8 @@ class FaultInjector:
         self.crash_detect_ns = plan.config.crash_detect_ns
         # -- migration governor ------------------------------------------
         self.governor_hold_ns = plan.config.governor_hold_ns
+        #: Promotions stay blocked while ``now`` is below this.  The fast
+        #: lane reads it live per access (see promotion_blocked).
         self._suspended_until = 0.0
         # -- deliberate corruption (chaos/soak testing) ------------------
         self._sabotage_remaining = plan.rollback_sabotage_budget
@@ -268,18 +278,6 @@ class FaultInjector:
             return _INF
         return rejoin if clock < rejoin else None
 
-    def crash_fence(self, clock: float) -> float:
-        """Event bound for the engine's fast lane under a crash plan.
-
-        Before the next crash/rejoin epoch the fence is that epoch, so no
-        lane run crosses it.  While the governor holds promotions
-        suspended the fence is 0.0 — forcing every access through the slow
-        path, where the governor's per-access suppression applies.
-        """
-        if clock < self._suspended_until:
-            return 0.0
-        return self.next_crash_ns
-
     # -- migration governor -----------------------------------------------
     def promotion_blocked(self, host: int, now: float) -> bool:
         """Whether PIPM promotions are suppressed for ``host`` at ``now``.
@@ -288,6 +286,12 @@ class FaultInjector:
         progress, or the tail of one), and a degraded link — the latter
         also arms/extends the hold so a flapping link keeps promotions
         off for ``governor_hold_ns`` past its last degraded observation.
+
+        A ``False`` answer mutates nothing, so the engine's fast lane
+        computes this answer with pure reads (``_suspended_until``, then
+        the host's :meth:`LinkFaultModel.window_at`) and makes the call
+        only when it is ``True``, where it counts the skip and may arm
+        the hold, exactly as on the slow path.
         """
         if now < self._suspended_until:
             self.counters.governor_skips += 1

@@ -146,9 +146,9 @@ def _make_flat_path(system, host_id, stall_by_service):
     returns the host's new clock, or ``None`` when the access must go
     through the serialized slow path.  The factory itself returns ``None``
     (the host gets no lane) when the configuration rules the lane out:
-    a fault plan that can disrupt transfers, HW-static PIPM, infinite
-    remap caches, or any non-LRU replacement policy (the inline paths
-    replicate dict-order LRU).
+    HW-static PIPM, infinite remap caches, or any non-LRU replacement
+    policy (the inline paths replicate dict-order LRU).  Every fault plan
+    keeps the lane.
 
     The closure replicates :meth:`MultiHostSystem.access` for every flow
     that cannot escalate into a cross-host transaction, in two phases:
@@ -164,12 +164,22 @@ def _make_flat_path(system, host_id, stall_by_service):
     and switch queues) is read live at each access, never snapshotted:
     the caller runs the lane only while this host holds the earliest heap
     turn, so the lane sees exactly the state the slow path would see at
-    that point of the global order.  That holds on switched fabrics too,
-    where the CXL round trip and a dirty LLC victim's writeback call the
-    host's real :class:`~repro.mem.fabric.SwitchedPath` (shared segments,
-    degrade windows and their counters included).  Only on the flat
-    preset, where ``paths[h] is links[h]``, is the link arithmetic
+    that point of the global order.  The CXL round trip and a dirty LLC
+    victim's writeback call the host's real path — a
+    :class:`~repro.mem.fabric.SwitchedPath` (shared segments, degrade
+    windows and their counters included) or a faulted
+    :class:`~repro.mem.cxl_link.CxlLink` (its error stream draws in the
+    slow path's order, so retries, give-ups and degrade windows come out
+    exact).  Only on a fault-free flat link, where ``paths[h] is
+    links[h]`` and no fault model is attached, is the link arithmetic
     inlined below.
+
+    The only fault state a lane access reads is the migration governor.
+    Where the slow path would ask ``injector.promotion_blocked`` before a
+    PIPM vote, phase 1 computes that call's answer with pure reads (the
+    hold, then the host's own degrade window); when it is true, phase 2
+    makes the slow path's own call, with its skip counters and the hold
+    it may arm, instead of voting.
 
     Three mechanical liberties keep the hot path short without touching
     observable results:
@@ -193,8 +203,6 @@ def _make_flat_path(system, host_id, stall_by_service):
     tick, watchdog audit, poison arrival, stall window, crash epoch), and
     this host still holds the earliest heap turn.
     """
-    if system._faults_on:
-        return None
     is_pipm = system._is_pipm
     is_page_map = system._is_page_map
     all_local = system.all_local
@@ -253,15 +261,16 @@ def _make_flat_path(system, host_id, stall_by_service):
     dram_local, flush_local = _make_dram_path(host.local_mem.pool)
     dram_cxl, flush_cxl = _make_dram_path(system.cxl_mem.pool)
 
-    # Flat preset: the path is the edge link itself, whose two legs fold
-    # to the inline arithmetic below with deferred message/byte counts
-    # (cheaper than a round_trip call per miss).  A switched path's
-    # segments carry their own degrade windows and live counters, so the
-    # lane calls the path's own methods, exactly as _cxl_access and
+    # Fault-free flat link: the path is the edge link itself, whose two
+    # legs fold to the inline arithmetic below with deferred message/byte
+    # counts (cheaper than a round_trip call per miss).  A switched
+    # path's segments and a faulted link's error stream and degrade
+    # windows live in their own methods, so there the lane calls the
+    # path's own round_trip/transfer, exactly as _cxl_access and
     # _handle_llc_eviction do.
     path = system.paths[host_id]
     link = system.links[host_id]
-    folded = path is link
+    folded = path is link and link._faults is None
     round_trip = path.round_trip
     path_transfer = path.transfer
     link_busy = link._busy_until
@@ -322,6 +331,17 @@ def _make_flat_path(system, host_id, stall_by_service):
         global_table_base = system._global_table_base
         leaf_epl = system._leaf_entries_per_line
         g_epl = system._global_entries_per_line
+        # The migration governor, as promotion_blocked reads it: the
+        # hold first, then this host's own degrade window.
+        governed = system._governed
+        injector = system.injector
+        promotion_blocked = injector.promotion_blocked if governed else None
+        link_faults = injector.link(host_id) if governed else None
+        window_at = (
+            link_faults.window_at
+            if link_faults is not None and link_faults.windows
+            else None
+        )
 
     # Deferred integer statistics (see the docstring).
     t_h = t_m = t_e = 0  # TLB hits / misses / evictions
@@ -387,16 +407,23 @@ def _make_flat_path(system, host_id, stall_by_service):
                 current = gentry.current_host
             if current != NO_HOST and current != host_id:
                 return None  # migrated elsewhere
-            if (
-                current == NO_HOST
-                and gentry is not None
-                and gentry.candidate_host == host_id
-                and gentry.counter > 0
-                and page not in pinned
-            ):
-                nxt = gentry.counter + (1 if gentry.counter < gmax else 0)
-                if nxt >= threshold:
-                    return None  # vote threshold
+            if current == NO_HOST:
+                # promotion_blocked(host_id, now)'s answer; nothing
+                # touches the injector between here and phase 2's call.
+                held = governed and (
+                    now < injector._suspended_until
+                    or (window_at is not None and window_at(now) is not None)
+                )
+                if (
+                    gentry is not None
+                    and gentry.candidate_host == host_id
+                    and gentry.counter > 0
+                    and not held
+                    and page not in pinned
+                ):
+                    nxt = gentry.counter + (1 if gentry.counter < gmax else 0)
+                    if nxt >= threshold:
+                        return None  # vote threshold
             pipm_entry = local_entries.get(page)
             if pipm_entry is not None and (
                 pipm_entry.migrated_lines >> (line & _LINES_MASK) & 1
@@ -571,22 +598,29 @@ def _make_flat_path(system, host_id, stall_by_service):
                             + (page // g_epl << _LINE_SHIFT),
                             now,
                         )
-                    if current == NO_HOST and page not in pinned:
-                        # Majority vote (promotion excluded in phase 1).
-                        if gentry is None:
-                            gentry = GlobalRemapEntry()
-                            g_entries[page] = gentry
-                        if (
-                            gentry.candidate_host == NO_HOST
-                            or gentry.counter == 0
-                        ):
-                            gentry.candidate_host = host_id
-                            gentry.counter = 1
-                        elif gentry.candidate_host == host_id:
-                            if gentry.counter < gmax:
-                                gentry.counter += 1
-                        else:
-                            gentry.counter -= 1
+                    if current == NO_HOST:
+                        if held:
+                            # Graceful degradation, as _shared_pipm: the
+                            # governor's own call (skip counters, a hold
+                            # it may arm) and no vote.
+                            promotion_blocked(host_id, now)
+                        elif page not in pinned:
+                            # Majority vote (promotion excluded in
+                            # phase 1).
+                            if gentry is None:
+                                gentry = GlobalRemapEntry()
+                                g_entries[page] = gentry
+                            if (
+                                gentry.candidate_host == NO_HOST
+                                or gentry.counter == 0
+                            ):
+                                gentry.candidate_host = host_id
+                                gentry.counter = 1
+                            elif gentry.candidate_host == host_id:
+                                if gentry.counter < gmax:
+                                    gentry.counter += 1
+                            else:
+                                gentry.counter -= 1
 
             if flow != 2:
                 # ---- plain cacheable CXL access (_cxl_access) ----
@@ -840,6 +874,9 @@ class SimulationEngine:
         self.system = system
         self.trace = trace
         self.fast_lane = fast_lane
+        #: Accesses the fast lanes served in the last :meth:`run` (tooling
+        #: only: not part of the result, so records do not depend on it).
+        self.lane_accesses = 0
         # Bake the per-host streams once into run-loop records; the SoA
         # arrays serve the stream-wide sanity checks below as array
         # reductions and are dropped once they pass.
@@ -902,6 +939,7 @@ class SimulationEngine:
         lens = [len(stream) for stream in streams]
         inv_mlp = [host.core.inv_mlp for host in hosts]
         access_counts = [0] * len(hosts)
+        lane_accesses = 0
         svc_counts = system.svc_counts
         cxl_end = system._cxl_end
         inf = math.inf
@@ -1006,13 +1044,8 @@ class SimulationEngine:
                         stall_bound = injector.next_stall_start(host_id, clock)
                         if stall_bound < event_bound:
                             event_bound = stall_bound
-                    if check_crash:
-                        # No lane run may cross a crash/rejoin epoch; while
-                        # the governor holds promotions suspended the fence
-                        # is 0.0 so every access runs the slow path.
-                        crash_bound = injector.crash_fence(clock)
-                        if crash_bound < event_bound:
-                            event_bound = crash_bound
+                    if check_crash and injector.next_crash_ns < event_bound:
+                        event_bound = injector.next_crash_ns
                 consumed = 0
                 l1_count = 0
                 while index < length:
@@ -1076,6 +1109,7 @@ class SimulationEngine:
                     if l1_count:
                         svc_counts[svc_l1] += l1_count
                     access_counts[host_id] += consumed
+                    lane_accesses += consumed
                     host.clock_ns = host_clock
                     if index < length:
                         item = heappushpop(heap, (host_clock, host_id, index))
@@ -1120,6 +1154,7 @@ class SimulationEngine:
         # counters before anything reads them.
         for flush in flushes:
             flush()
+        self.lane_accesses = lane_accesses
         return self._finish(stall_by_service, access_counts)
 
     # ------------------------------------------------------------------

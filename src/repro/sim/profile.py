@@ -72,6 +72,8 @@ class CaseResult:
     accesses: int
     wall_s: float
     record: Dict
+    #: Accesses the hosts' fast lanes served (the rest took the slow path).
+    lane_accesses: int
 
     @property
     def key(self) -> str:
@@ -80,6 +82,10 @@ class CaseResult:
     @property
     def accesses_per_s(self) -> float:
         return self.accesses / self.wall_s if self.wall_s > 0 else 0.0
+
+    @property
+    def lane_share(self) -> float:
+        return self.lane_accesses / self.accesses if self.accesses else 0.0
 
 
 @dataclass
@@ -177,6 +183,7 @@ def run_case(
         accesses=accesses,
         wall_s=best_wall,
         record=record,
+        lane_accesses=engine.lane_accesses,
     )
 
 

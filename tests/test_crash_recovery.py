@@ -51,8 +51,8 @@ class TestCrashConfig:
         assert config.idle
 
     def test_crash_only_plan_cannot_disrupt_transfers(self):
-        """Crashes are epoch events, not transfer noise: the engine's
-        fast lane must stay eligible."""
+        """Crashes are epoch events, not transfer noise: a crash-only
+        plan runs migrations without transactions."""
         config = FaultConfig.parse("hostdown:crash-at-ns=5e4")
         plan = FaultPlan.from_config(config, num_hosts=4, num_lines=64)
         injector = FaultInjector(plan)

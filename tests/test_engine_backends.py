@@ -13,10 +13,12 @@ those off the system after the run, next to the record and the full
 ``StatRegistry.snapshot()``; a lost fold shows up in one of the three.
 
 The hand-picked cases below pin the profile microbench matrix plus the
-configurations that fence or disable the lane (fault plans, watchdog
-audits, interval schemes, the ``local-only`` scheme — the only one whose
-accesses take the lane's host-private flow); the hypothesis fuzz draws
-hosts, fabric topology, fault plan, scheme and workload at random.
+configurations that fence the lane or change what it runs (fault plans,
+watchdog audits, interval schemes, the ``local-only`` scheme — the only
+one whose accesses take the lane's host-private flow); the hypothesis
+fuzz draws hosts, fabric topology, fault plan, scheme and workload at
+random.  Parity cannot see a lane that silently stands down, so a floor
+on the lane's share of accesses is pinned too.
 """
 
 import dataclasses
@@ -71,13 +73,20 @@ def _cache_counters(system: MultiHostSystem) -> dict:
     return counters
 
 
-def _observe(trace, scheme: str, config: SystemConfig, fast_lane: bool):
-    """Run ``trace`` as :func:`simulate` does; everything the lane touches."""
+def _engine(trace, scheme: str, config: SystemConfig, fast_lane=True):
+    """The engine :func:`simulate` would build for ``trace``."""
     system = MultiHostSystem(
         config, make_scheme(scheme), workload_mlp=trace.mlp,
         footprint_pages=max(1, trace.footprint_bytes // 4096),
     )
-    result = SimulationEngine(system, trace, fast_lane=fast_lane).run()
+    return SimulationEngine(system, trace, fast_lane=fast_lane)
+
+
+def _observe(trace, scheme: str, config: SystemConfig, fast_lane: bool):
+    """Run ``trace`` as :func:`simulate` does; everything the lane touches."""
+    engine = _engine(trace, scheme, config, fast_lane)
+    result = engine.run()
+    system = engine.system
     return {
         "to_record()": _canon(result),
         "StatRegistry.snapshot()": json.dumps(
@@ -106,9 +115,10 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("scheme", ["native", "pipm"])
     def test_fault_plan_identical(self, scheme):
-        # A plan that can disrupt transfers leaves every host without a
-        # lane, so this pins the merged loop's lane-less turns (stall
-        # windows, poison arrivals) against the reference.
+        # The lane runs under storm: transfer errors and a degrade window
+        # on every link, so every miss goes through the faulted link's
+        # own methods and every PIPM vote meets the governor, plus the
+        # stall-window and poison-arrival fences.
         config = dataclasses.replace(
             SystemConfig.scaled(), faults=FaultConfig.parse("storm:seed=5")
         )
@@ -166,35 +176,62 @@ class TestLaneEligibility:
             SystemConfig.scaled().replace(
                 faults=FaultConfig.parse("hostdown-rejoin")
             ),
+            *(
+                SystemConfig.scaled().replace(
+                    faults=FaultConfig.parse(preset)
+                )
+                for preset in ("flaky", "degraded", "storm")
+            ),
+            SystemConfig.rack(8, "single-switch").replace(
+                faults=FaultConfig.parse("storm")
+            ),
         ],
-        ids=["flat", "single-switch", "two-tier", "switchdown", "crash-only"],
+        ids=["flat", "single-switch", "two-tier", "switchdown", "crash-only",
+             "flaky", "degraded", "storm", "storm-switched"],
     )
     @pytest.mark.parametrize("scheme", ["native", "memtis", "pipm"])
     def test_lane_built(self, config, scheme):
         system = _system(config, scheme)
-        assert not system._faults_on
         for host_id in range(config.num_hosts):
             assert _make_flat_path(system, host_id, [0.0] * 7) is not None
 
     @pytest.mark.parametrize(
-        "scheme,config,kwargs",
+        "scheme,kwargs",
         [
-            ("pipm", SystemConfig.scaled().replace(
-                faults=FaultConfig.parse("flaky")), {}),
-            ("native", SystemConfig.rack(8, "single-switch").replace(
-                faults=FaultConfig.parse("storm")), {}),
-            ("hw-static", SystemConfig.scaled(), {}),
-            ("pipm", SystemConfig.scaled(),
-             {"infinite_global_remap_cache": True}),
-            ("pipm", SystemConfig.scaled(),
-             {"infinite_local_remap_cache": True}),
+            ("hw-static", {}),
+            ("pipm", {"infinite_global_remap_cache": True}),
+            ("pipm", {"infinite_local_remap_cache": True}),
         ],
-        ids=["faults-on", "faults-on-switched", "hw-static",
-             "infinite-global-cache", "infinite-local-cache"],
+        ids=["hw-static", "infinite-global-cache", "infinite-local-cache"],
     )
-    def test_no_lane(self, scheme, config, kwargs):
-        system = _system(config, scheme, **kwargs)
+    def test_no_lane(self, scheme, kwargs):
+        system = _system(SystemConfig.scaled(), scheme, **kwargs)
         assert _make_flat_path(system, 0, [0.0] * 7) is None
+
+
+#: The fabric golden's flat fault case: transfer errors plus a crash and a
+#: rejoin that both land inside a tiny run.
+_CRASH_WITH_ERRORS = (
+    "hostdown-rejoin:transfer-error-rate=0.001,"
+    "crash-at-ns=60000,crash-rejoin-ns=110000"
+)
+
+
+class TestLaneShare:
+    # A lane that stands down moves no output byte, so no parity test can
+    # see it; pin the share of accesses the lanes serve instead.  These
+    # runs read 0.90-0.95.
+    @pytest.mark.parametrize(
+        "plan", [None, _CRASH_WITH_ERRORS, "flaky", "degraded"],
+        ids=["faults-off", "crash-errors", "flaky", "degraded"],
+    )
+    def test_lane_share_floor(self, plan):
+        config = SystemConfig.scaled(num_hosts=4)
+        if plan is not None:
+            config = config.replace(faults=FaultConfig.parse(plan))
+        engine = _engine(_trace("ycsb", config), "pipm", config)
+        result = engine.run()
+        assert engine.lane_accesses / result.accesses >= 0.85
 
 
 # ----------------------------------------------------------------------
@@ -207,12 +244,16 @@ TOPOLOGIES = (
     "two-tier:hosts-per-leaf=4",
     "two-tier:hosts-per-leaf=8",
 )
-#: Fault plans the fuzz draws from.  ``stalls`` (pause windows plus
-#: poisoned lines, no transfer faults) keeps the lane on and exercises
-#: its stall and poison fences; ``switchdown`` needs a switched fabric.
+#: Fault plans the fuzz draws from; the lane runs under every one.
+#: ``stalls`` (pause windows plus poisoned lines, no transfer faults)
+#: exercises the stall and poison fences; ``degrade`` opens and closes a
+#: degraded window mid-run, so the governor hold it arms starts and ends
+#: while other hosts' lanes keep running; ``crash-errors`` is the
+#: benchmark's plan (a crash and rejoin, transfer errors, watchdog
+#: audits); ``switchdown`` needs a switched fabric.
 FAULT_KINDS = (
     "none", "flaky", "storm", "hostdown", "hostdown-rejoin", "switchdown",
-    "watchdog", "stalls",
+    "watchdog", "stalls", "degrade", "crash-errors",
 )
 SCHEMES = tuple(SCHEME_CLASSES)
 WORKLOADS = ("pr", "ycsb", "tpcc")
@@ -227,11 +268,12 @@ class LaneCase:
     workload: str
     accesses_per_host: int
     seed: int
-    #: Where a crash or switchdown window opens and closes, as fractions
-    #: of the fault-free run's length.
+    #: Where a crash, degrade or switchdown window opens and closes, as
+    #: fractions of the fault-free run's length.
     opens_at: float
     closes_at: float
-    #: Host that crashes / switch that goes down (taken modulo the count).
+    #: Host that crashes or runs degraded / switch that goes down (taken
+    #: modulo the count).
     victim: int
 
     def base_config(self) -> SystemConfig:
@@ -260,6 +302,21 @@ class LaneCase:
             return (
                 f"hostdown-rejoin:{seed},crash-host={host},"
                 f"crash-at-ns={opens},crash-rejoin-ns={closes}"
+            )
+        if self.faults == "crash-errors":
+            return (
+                f"hostdown-rejoin:{seed},crash-host={host},"
+                f"crash-at-ns={opens},crash-rejoin-ns={closes},"
+                f"transfer-error-rate=0.001,watchdog-period-ns={span_ns / 4}"
+            )
+        if self.faults == "degrade":
+            # One host's link, or (odd victim) it and its neighbour's.
+            degraded = {host, (host + self.victim % 2) % self.hosts}
+            return (
+                f"degraded:{seed},degrade-start-ns={opens},"
+                f"degrade-end-ns={closes},"
+                f"degrade-hosts={'+'.join(map(str, sorted(degraded)))},"
+                f"governor-hold-ns={span_ns / 10}"
             )
         if self.faults == "switchdown":
             switch = self.victim % config.fabric.num_switches(self.hosts)
@@ -327,6 +384,12 @@ class TestLaneFuzz:
         hosts=8, topology="two-tier:hosts-per-leaf=2", faults="hostdown",
         scheme="memtis", workload="tpcc", accesses_per_host=2000, seed=3,
         opens_at=0.4, closes_at=0.8, victim=6,
+    ))
+    # Shaped like the benchmark's faults-ycsb-4h.
+    @example(case=LaneCase(
+        hosts=4, topology="flat", faults="crash-errors", scheme="pipm",
+        workload="ycsb", accesses_per_host=2000, seed=7, opens_at=0.3,
+        closes_at=0.6, victim=1,
     ))
     def test_lane_on_matches_lane_off(self, case):
         base = case.base_config()
