@@ -7,11 +7,10 @@ Commands
 ``sweep``     fan a (workload x scheme x variant) matrix across supervised
               workers into the shared result cache (crash-isolated,
               resumable)
-``serve``     always-on experiment service: watch a spool directory for
-              submitted specs, schedule them through the supervised
-              pool with admission control and per-spec circuit
-              breakers, journal every transition (kill -9 safe),
-              drain gracefully on SIGTERM
+``serve``     always-on experiment service: run the specs submitted to a
+              spool directory through the sweep runner, park failures
+              in rejected/, resume after kill -9, drain gracefully on
+              SIGTERM
 ``soak``      randomized chaos testing under the fail-fast invariant
               watchdog, with failing-schedule minimization
 ``profile``   time the per-access hot path (deterministic accesses/sec
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a (workload x scheme x variant) matrix in parallel",
         description=(
-            "Fan the evaluation matrix across a process pool into the "
+            "Fan the evaluation matrix across supervised workers into the "
             "content-addressed result cache; a second invocation over the "
             "same matrix is pure cache hits, and the figure benches "
             "(pytest benchmarks/) read the same cache."
@@ -161,12 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="always-on experiment service (submit/run/status)",
         description=(
-            "A persistent daemon over the crash-isolated sweep "
-            "substrate: specs spooled into <dir>/spool are admitted "
-            "through a bounded queue, executed under the supervised "
-            "worker pool, deduped against the content-addressed cache, "
-            "and journalled transition-by-transition so kill -9 + "
-            "restart resumes without re-running completed work."
+            "A persistent daemon in front of the sweep runner: specs "
+            "spooled into <dir>/spool run in batches through the same "
+            "supervised, resumable path as 'repro sweep --resume', "
+            "sharing its result cache and journal.  A done spec leaves "
+            "the spool, a failed one is parked in <dir>/rejected, and "
+            "kill -9 + restart resumes without re-running completed "
+            "work."
         ),
     )
     from .serve.cli import add_serve_arguments

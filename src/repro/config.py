@@ -517,65 +517,6 @@ class FaultConfig:
 
 
 @dataclass(frozen=True)
-class ServeConfig:
-    """Operational policy for the always-on experiment service.
-
-    Unlike :class:`SystemConfig` this never feeds simulated state — it
-    bounds the *service's* behaviour: how much submitted work may sit in
-    memory, how poison specs are quarantined, and how large the state
-    journal may grow before compaction folds it.
-    """
-
-    queue_limit: int = 64  # bounded admission queue (reject beyond)
-    slots: int = 2  # supervised worker processes per batch
-    tick_s: float = 0.2  # idle spool-poll / status-refresh period
-    timeout_s: Optional[float] = None  # per-attempt timeout (None = off)
-    retries: int = 1  # supervisor re-attempts per dispatch
-    backoff_s: float = 0.25  # supervisor retry backoff base
-    max_backoff_s: float = 30.0  # supervisor retry backoff cap
-    breaker_threshold: int = 3  # exhausted dispatches that trip a breaker
-    breaker_cooldown_s: float = 5.0  # first open->half-open delay
-    breaker_cooldown_max_s: float = 300.0  # escalation cap on re-opens
-    compact_every: int = 512  # journal lines that trigger compaction
-
-    def validate(self) -> None:
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be >= 0")
-        if self.max_backoff_s <= 0:
-            raise ValueError("max_backoff_s must be positive")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker_cooldown_s must be positive")
-        if self.breaker_cooldown_max_s < self.breaker_cooldown_s:
-            raise ValueError(
-                "breaker_cooldown_max_s must be >= breaker_cooldown_s"
-            )
-        if self.compact_every < 8:
-            raise ValueError("compact_every must be >= 8")
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServeConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        config = cls(**{k: v for k, v in data.items() if k in known})
-        config.validate()
-        return config
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
 class CoreConfig:
     """Analytic OoO core model parameters."""
 

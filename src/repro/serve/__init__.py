@@ -1,24 +1,15 @@
-"""Always-on experiment service over the crash-isolated sweep substrate.
+"""Always-on experiment service: a spool front end to the sweep runner.
 
-``python -m repro serve run`` keeps a daemon alive that accepts
-experiment specs spooled into a watched submit directory, dedups them
-against the content-addressed result cache, schedules them through the
-:class:`~repro.sweep.supervisor.JobSupervisor`, and journals every state
-transition so a ``kill -9`` + restart resumes exactly where it left
-off.  See DESIGN.md ("Experiment service") for the lifecycle and
-README.md for the ops runbook.
+``python -m repro serve run`` keeps a daemon alive that runs the spec
+files spooled into a watched directory through
+:class:`~repro.sweep.runner.SweepRunner`, deletes each file once its
+spec is done and parks failures in ``rejected/``.  The spool and the
+result store hold the whole pending set, and the sweep journal records
+every attempt, so a ``kill -9`` + restart resumes without re-running
+completed work.  See DESIGN.md ("Experiment service") for the lifecycle
+and README.md for the ops runbook.
 """
 
-from .admission import REASONS, AdmissionDecision, AdmissionQueue
-from .breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
-from .journal import (
-    SERVICE_JOURNAL_NAME,
-    STATES,
-    TERMINAL_STATES,
-    ServiceJournal,
-    ServiceView,
-    SpecState,
-)
 from .service import ExperimentService, submit_spec
 from .status import (
     STATUS_NAME,
@@ -30,20 +21,6 @@ from .status import (
 )
 
 __all__ = [
-    "REASONS",
-    "AdmissionDecision",
-    "AdmissionQueue",
-    "CLOSED",
-    "HALF_OPEN",
-    "OPEN",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "SERVICE_JOURNAL_NAME",
-    "STATES",
-    "TERMINAL_STATES",
-    "ServiceJournal",
-    "ServiceView",
-    "SpecState",
     "ExperimentService",
     "submit_spec",
     "STATUS_NAME",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict
 
-from ..config import ServeConfig, SystemConfig
+from ..config import SystemConfig
 from ..sweep import ExperimentSpec
 from ..workloads import WorkloadScale, workload_names
 from .service import ExperimentService, submit_spec
@@ -29,62 +29,37 @@ def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
         "run",
         help="run the service loop (drains gracefully on SIGTERM/SIGINT)",
         description=(
-            "Watch <dir>/spool for submitted specs, schedule them through "
-            "the crash-isolated supervisor, and journal every state "
-            "transition so a kill -9 + restart resumes exactly where it "
-            "left off.  SIGTERM requests a graceful drain: stop "
-            "admitting, finish in-flight work, flush, exit 0."
+            "Watch <dir>/spool for submitted specs and run them, up to "
+            "--slots at a time, through the sweep runner with --resume: "
+            "a done spec's spool file is deleted, a failed one is parked "
+            "in <dir>/rejected.  A kill -9 + restart re-runs only what "
+            "is not done.  SIGTERM requests a graceful drain: finish the "
+            "running batch, exit 0."
         ),
     )
     run.add_argument("--dir", required=True, dest="root",
-                     help="service root (spool/, specs/, journal, status)")
+                     help="service root (spool/, rejected/, status.json)")
     run.add_argument("--cache-dir", default=None,
-                     help="shared result/trace cache "
+                     help="shared result/trace cache and sweep journal "
                           "(default: <dir>/cache)")
-    defaults = ServeConfig()
-    run.add_argument("--slots", type=int, default=defaults.slots,
-                     help=f"worker processes (default: {defaults.slots})")
-    run.add_argument("--queue-limit", type=int,
-                     default=defaults.queue_limit,
-                     help="bounded admission queue capacity "
-                          f"(default: {defaults.queue_limit})")
-    run.add_argument("--tick-s", type=float, default=defaults.tick_s,
-                     help="idle spool-poll period "
-                          f"(default: {defaults.tick_s})")
-    run.add_argument("--timeout-s", type=float, default=defaults.timeout_s,
+    run.add_argument("--slots", type=int, default=2,
+                     help="specs per batch, and worker processes; 1 "
+                          "without --timeout-s runs in-process "
+                          "(default: 2)")
+    run.add_argument("--timeout-s", type=float, default=None,
                      help="per-attempt timeout (default: none)")
-    run.add_argument("--retries", type=int, default=defaults.retries,
-                     help="supervisor re-attempts per dispatch "
-                          f"(default: {defaults.retries})")
-    run.add_argument("--backoff-s", type=float, default=defaults.backoff_s,
-                     help="supervisor retry backoff base "
-                          f"(default: {defaults.backoff_s})")
-    run.add_argument("--max-backoff-s", type=float,
-                     default=defaults.max_backoff_s,
-                     help="supervisor retry backoff cap "
-                          f"(default: {defaults.max_backoff_s})")
-    run.add_argument("--breaker-threshold", type=int,
-                     default=defaults.breaker_threshold,
-                     help="exhausted dispatches that trip a spec's "
-                          f"breaker (default: {defaults.breaker_threshold})")
-    run.add_argument("--breaker-cooldown-s", type=float,
-                     default=defaults.breaker_cooldown_s,
-                     help="first open->half-open cooldown "
-                          f"(default: {defaults.breaker_cooldown_s})")
-    run.add_argument("--breaker-cooldown-max-s", type=float,
-                     default=defaults.breaker_cooldown_max_s,
-                     help="cooldown escalation cap "
-                          f"(default: {defaults.breaker_cooldown_max_s})")
-    run.add_argument("--compact-every", type=int,
-                     default=defaults.compact_every,
-                     help="journal lines that trigger compaction "
-                          f"(default: {defaults.compact_every})")
-    run.add_argument("--max-ticks", type=int, default=None,
-                     help="stop after N loop iterations (testing)")
+    run.add_argument("--retries", type=int, default=1,
+                     help="re-attempts per spec after a failure or "
+                          "timeout (default: 1)")
+    run.add_argument("--backoff-s", type=float, default=0.25,
+                     help="base retry backoff; doubles per re-attempt "
+                          "(default: 0.25)")
+    run.add_argument("--max-backoff-s", type=float, default=30.0,
+                     help="cap on the doubled retry backoff "
+                          "(default: 30)")
     run.add_argument("--exit-when-idle", action="store_true",
-                     help="exit 0 once the spool, queue, and backlog "
-                          "are all empty (batch mode; quarantined specs "
-                          "stay parked in the journal)")
+                     help="exit 0 once the spool is empty (batch mode; "
+                          "parked specs stay in rejected/)")
 
     submit = sub.add_parser(
         "submit",
@@ -131,27 +106,14 @@ def _parse_kwargs(raw: str) -> Dict[str, Any]:
 
 
 def _cmd_run(args) -> int:
-    config = ServeConfig(
-        queue_limit=args.queue_limit,
-        slots=args.slots,
-        tick_s=args.tick_s,
-        timeout_s=args.timeout_s,
-        retries=args.retries,
-        backoff_s=args.backoff_s,
-        max_backoff_s=args.max_backoff_s,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-        breaker_cooldown_max_s=args.breaker_cooldown_max_s,
-        compact_every=args.compact_every,
-    )
-    config.validate()
     service = ExperimentService(
-        args.root, config=config, cache_dir=args.cache_dir
+        args.root, cache_dir=args.cache_dir, slots=args.slots,
+        timeout_s=args.timeout_s, retries=args.retries,
+        backoff_s=args.backoff_s, max_backoff_s=args.max_backoff_s,
     )
     print(f"serve: root {args.root}, cache {service.cache_dir}, "
-          f"{config.slots} slot(s), queue limit {config.queue_limit}")
+          f"{service.slots} slot(s)")
     return service.run(
-        max_ticks=args.max_ticks,
         exit_when_idle=args.exit_when_idle,
         install_signals=True,
         progress=print,

@@ -1,45 +1,32 @@
-"""The always-on experiment service: spool in, journal everything.
+"""The always-on experiment service: a spool front end to the sweep runner.
 
-``python -m repro serve run`` turns the PR 2/4 substrate — the
-crash-isolated :class:`~repro.sweep.supervisor.JobSupervisor`, the
-content-addressed :class:`~repro.sweep.store.ResultStore`, and the
-append-only journal discipline — into a persistent daemon.
+``python -m repro serve run`` watches a spool directory and feeds what
+it finds to :class:`~repro.sweep.runner.SweepRunner`, the runner behind
+``repro sweep``.  It keeps no state of its own: the spool holds the
+specs still to run, the content-addressed
+:class:`~repro.sweep.store.ResultStore` holds the finished ones, and the
+runner's :class:`~repro.sweep.journal.SweepJournal` (shared with any
+``repro sweep`` on the same cache) records every attempt.
 
 Service root layout::
 
     <root>/
-      spool/                 incoming submissions (clients write
-                             atomically; the service retires files it
-                             has durably accepted)
-      specs/                 accepted spec payloads, one <key>.json each
-                             (what restart recovery re-enqueues from)
-      rejected/              unparseable submissions, moved aside
-      cache/                 ResultStore + TraceStore (unless an
-                             external --cache-dir is shared)
-      service-journal.jsonl  every state transition (compactable)
-      status.json            health snapshot, refreshed every tick
+      spool/        submitted specs, one file each (``serve submit``
+                    names them by content key); the service deletes a
+                    file once its spec is done
+      rejected/     parked files: unparseable, or their spec failed
+                    after its retries; resubmit to try again
+      cache/        ResultStore, TraceStore and sweep-journal.jsonl
+                    (unless an external --cache-dir is shared)
+      status.json   health snapshot, refreshed every pass
 
-Robustness invariants, in order of the crash windows they close:
-
-* A submission is *accepted* only after its payload is atomically
-  persisted under ``specs/`` **and** its ``submitted`` transition is on
-  disk; only then is the spool file retired.  A kill between any two of
-  those steps re-converges on restart (re-ingest is idempotent by
-  content key).
-* Every transition is journalled **before** the service acts on it, so
-  ``kill -9`` at any instant leaves a journal from which the next start
-  rebuilds the exact pending set.  Completed specs are never re-run:
-  recovery dedups against the result store first.
-* Admission is a bounded queue — when it is full the service simply
-  stops draining the spool (backpressure on disk, not in memory).
-* A spec that repeatedly exhausts its supervisor retries trips a
-  per-spec circuit breaker and is parked, costing zero slots, until a
-  half-open probe readmits it (see :mod:`repro.serve.breaker`).
-* SIGTERM/SIGINT request a graceful drain: stop admitting, finish the
-  in-flight batch, journal, publish a final ``drained`` status, exit 0.
-* The journal is compacted (atomic rewrite of the folded state) once it
-  passes ``compact_every`` lines, so weeks of uptime cannot grow it
-  without bound.
+Each pass that finds work runs up to ``slots`` spool files, in name
+order, through ``SweepRunner(..., resume=True)``.  A ``kill -9`` at any
+instant leaves every unfinished spec in the spool, so a restart simply
+runs it again; a spec whose result was published before the kill is
+skipped (journalled done) or completed as a cache hit (journal line
+lost), never simulated twice.  SIGTERM/SIGINT let the running batch
+finish, then publish a final ``drained`` status and exit 0.
 """
 
 from __future__ import annotations
@@ -47,40 +34,20 @@ from __future__ import annotations
 import json
 import os
 import signal as signal_module
-from collections import deque
 from pathlib import Path
-from time import monotonic, sleep
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from time import sleep
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..config import ServeConfig
-from ..sweep import ExperimentSpec, Job, JobSupervisor, ResultStore, SupervisorPolicy, TraceStore, run_spec
+from ..sweep import ExperimentSpec, SweepJournal, SweepRunner
 from ..sweep.store import atomic_write_json
-from .admission import AdmissionQueue
-from .breaker import CLOSED, OPEN, BreakerBoard
-from .journal import ServiceJournal
 from .status import ServiceStatus, write_status
 
 SPOOL_DIR = "spool"
-SPECS_DIR = "specs"
 REJECTED_DIR = "rejected"
 CACHE_DIR = "cache"
 
-#: Non-terminal states that mean "already tracked; drop duplicates".
-_PENDING_STATES = frozenset(
-    ("submitted", "admitted", "running", "failed", "probing")
-)
-
-
-def _execute_spec(payload: Tuple[Dict, str]) -> Dict:
-    """Worker body: one supervised attempt at one spec."""
-    spec_dict, cache_dir = payload
-    spec = ExperimentSpec.from_dict(spec_dict)
-    outcome = run_spec(spec, cache_dir)
-    return {
-        "cache_hit": outcome.report.cache_hit,
-        "elapsed_s": outcome.report.elapsed_s,
-        "exec_time_ns": outcome.report.exec_time_ns,
-    }
+#: Seconds between spool polls while there is nothing to run.
+IDLE_POLL_S = 0.2
 
 
 def submit_spec(root: Union[str, Path], spec: ExperimentSpec) -> Path:
@@ -94,116 +61,82 @@ def submit_spec(root: Union[str, Path], spec: ExperimentSpec) -> Path:
     return path
 
 
+def _read_spec(path: Path) -> ExperimentSpec:
+    """A spool file's spec (bare, or under ``"spec"`` as in reproducers)."""
+    data = json.loads(path.read_text())
+    return ExperimentSpec.from_dict(
+        data.get("spec", data) if isinstance(data, dict) else data
+    )
+
+
 class ExperimentService:
-    """Long-running spec scheduler over the crash-isolated substrate."""
+    """Runs spooled specs through :class:`SweepRunner`, batch by batch."""
 
     def __init__(
         self,
         root: Union[str, Path],
-        config: Optional[ServeConfig] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        clock: Callable[[], float] = monotonic,
+        *,
+        slots: int = 2,
+        timeout_s: Optional[float] = None,
+        retries: int = 1,
+        backoff_s: float = 0.25,
+        max_backoff_s: float = 30.0,
     ) -> None:
+        if slots < 1:
+            raise ValueError("slots must be >= 1")
         self.root = Path(root)
-        self.config = config or ServeConfig()
-        self.config.validate()
         self.spool = self.root / SPOOL_DIR
-        self.specs_dir = self.root / SPECS_DIR
         self.rejected_dir = self.root / REJECTED_DIR
         self.cache_dir = str(cache_dir or self.root / CACHE_DIR)
-        self.journal = ServiceJournal(self.root)
-        self.store = ResultStore(self.cache_dir)
-        self.queue = AdmissionQueue(self.config.queue_limit)
-        self.breakers = BreakerBoard(
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown_s,
-            self.config.breaker_cooldown_max_s,
-            clock=clock,
+        self.slots = slots
+        self._runner_kwargs = dict(
+            workers=slots, timeout_s=timeout_s, retries=retries,
+            backoff_s=backoff_s, max_backoff_s=max_backoff_s, resume=True,
         )
-        self.policy = SupervisorPolicy(
-            timeout_s=self.config.timeout_s,
-            retries=self.config.retries,
-            backoff_s=self.config.backoff_s,
-            max_backoff_s=self.config.max_backoff_s,
-            jitter=0.2,
-        )
-        self.policy.validate()
-        # In-memory mirrors of journalled state (rebuilt by _recover).
-        self._known: Dict[str, str] = {}  # key -> last journalled state
-        self._labels: Dict[str, str] = {}
-        self._backlog: Deque[str] = deque()  # keys awaiting queue room
-        self._quarantined: Set[str] = set()
+        # Reject a bad retry policy at start-up, not at the first batch.
+        SweepRunner([], self.cache_dir, **self._runner_kwargs)
         self._drain = False
         self._tick = 0
-        self._epoch = 0
         self._in_flight = 0
+        self._totals: Dict[str, int] = {}
 
-    # -- lifecycle -------------------------------------------------------
     def request_drain(self) -> None:
-        """Stop admitting; finish in-flight work; then exit cleanly."""
+        """Finish the running batch, then exit cleanly."""
         self._drain = True
 
     def run(
         self,
         *,
-        max_ticks: Optional[int] = None,
         exit_when_idle: bool = False,
         install_signals: bool = False,
         progress: Optional[Callable[[str], None]] = None,
     ) -> int:
         """The service loop.  Returns 0 on a clean drain/idle exit."""
         say = progress or (lambda _line: None)
-        self._ensure_dirs()
-        self.journal.cleanup_temp()
-        self.store.purge_temp()
-        TraceStore(self.cache_dir).purge_temp()
-        self.journal.epoch(os.getpid())
-        self._write_status("starting")
-        self._recover(say)
+        self.spool.mkdir(parents=True, exist_ok=True)
+        self.rejected_dir.mkdir(parents=True, exist_ok=True)
         previous_handlers = (
             self._install_signals() if install_signals else None
         )
         try:
-            while True:
+            self._totals = self._fold_totals()
+            while not self._drain:
                 self._tick += 1
-                if not self._drain:
-                    self._admit_backlog()
-                    self._ingest_spool(say)
-                    self._probe_quarantined(say)
-                batch = self.queue.take(self.config.slots)
-                if batch:
-                    self._run_batch(batch, say)
-                self._maybe_compact(say)
-                idle = (
-                    not batch
-                    and not len(self.queue)
-                    and not self._backlog
-                    and not self._spool_backlog()
-                )
-                self._write_status(
-                    "draining" if self._drain else "running"
-                )
-                if self._drain and not len(self.queue):
+                specs, files = self._take_batch(say)
+                if specs:
+                    self._run_batch(specs, files, say)
+                    continue
+                self._publish()
+                if exit_when_idle:
                     break
-                if exit_when_idle and idle:
-                    break
-                if max_ticks is not None and self._tick >= max_ticks:
-                    break
-                if idle:
-                    sleep(self.config.tick_s)
+                sleep(IDLE_POLL_S)
         finally:
             if previous_handlers is not None:
                 self._restore_signals(previous_handlers)
-        self._write_status("drained")
-        say(f"drained after tick {self._tick}; journal "
-            f"{self.journal.line_count()} line(s)")
+        self._publish("drained")
+        say(f"drained after {self._tick} pass(es)")
         return 0
-
-    def _ensure_dirs(self) -> None:
-        for directory in (
-            self.root, self.spool, self.specs_dir, self.rejected_dir
-        ):
-            directory.mkdir(parents=True, exist_ok=True)
 
     def _install_signals(self):
         previous = {}
@@ -219,273 +152,82 @@ class ExperimentService:
         for sig, handler in previous.items():
             signal_module.signal(sig, handler)
 
-    # -- recovery --------------------------------------------------------
-    def _recover(self, say) -> None:
-        """Rebuild the pending set from the journal after any death."""
-        view = self.journal.fold()
-        self._epoch = view.epoch
-        resumed = completed = parked = 0
-        for key in sorted(view.entries):
-            entry = view.entries[key]
-            self._labels[key] = entry.label
-            self._known[key] = entry.state
-            if entry.failures or entry.opens:
-                self.breakers.get(key).restore(
-                    OPEN if entry.state in ("quarantined", "probing")
-                    else CLOSED,
-                    entry.failures, entry.opens,
+    # -- one pass --------------------------------------------------------
+    def _spooled(self) -> List[Path]:
+        return sorted(self.spool.glob("*.json"))
+
+    def _take_batch(
+        self, say
+    ) -> Tuple[List[ExperimentSpec], Dict[str, List[Path]]]:
+        """Up to ``slots`` distinct specs from the spool, in name order.
+
+        Also returns the spool files holding each spec's key.  A file that
+        does not parse is parked on the spot, with its error journalled
+        under the file's stem.
+        """
+        specs: List[ExperimentSpec] = []
+        files: Dict[str, List[Path]] = {}
+        for path in self._spooled():
+            try:
+                spec = _read_spec(path)
+            except Exception as exc:
+                SweepJournal(self.cache_dir).record(
+                    path.stem, path.name, "failed", error=repr(exc)
                 )
-            if entry.terminal:
+                self._park(path, say)
                 continue
-            if key in self.store:
-                # The worker published its result but the kill landed
-                # before the ``done`` transition: complete it now as a
-                # cache hit — never a second execution.
-                self._transition(key, "done", cache_hit=True)
-                completed += 1
-                continue
-            if entry.state in ("quarantined", "probing"):
-                if entry.state == "probing":
-                    # The probe died with the service; park again.
-                    self._transition(
-                        key, "quarantined",
-                        failures=entry.failures, opens=entry.opens,
-                    )
-                self._quarantined.add(key)
-                parked += 1
-                continue
-            if not self._payload_path(key).exists():
-                self._transition(
-                    key, "lost", error="spec payload missing from specs/"
-                )
-                continue
-            self._backlog.append(key)
-            resumed += 1
-        if resumed or completed or parked:
-            say(f"recovered: {resumed} pending, {completed} completed "
-                f"while down, {parked} quarantined")
+            key = spec.key()
+            if key not in files:
+                if len(specs) == self.slots:
+                    break
+                specs.append(spec)
+            files.setdefault(key, []).append(path)
+        return specs, files
 
-    # -- admission -------------------------------------------------------
-    def _payload_path(self, key: str) -> Path:
-        return self.specs_dir / f"{key}.json"
+    def _run_batch(
+        self,
+        specs: List[ExperimentSpec],
+        files: Dict[str, List[Path]],
+        say,
+    ) -> None:
+        self._in_flight = len(specs)
+        self._publish()
+        summary = SweepRunner(
+            specs, self.cache_dir, **self._runner_kwargs
+        ).run(progress=say)
+        for report in summary.reports:
+            for path in files.pop(report.key, ()):
+                path.unlink(missing_ok=True)
+        for failure in summary.failures:
+            for path in files.pop(failure.key, ()):
+                self._park(path, say)
+        self._in_flight = 0
+        self._totals = self._fold_totals()
+        self._publish()
 
-    def _load_payload(self, key: str) -> Optional[Dict]:
+    def _park(self, path: Path, say) -> None:
+        """Move a spool file into ``rejected/`` until it is resubmitted."""
         try:
-            return json.loads(self._payload_path(key).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def _spool_backlog(self) -> int:
-        try:
-            return sum(1 for _ in self.spool.glob("*.json"))
+            os.replace(path, self.rejected_dir / path.name)
         except OSError:
-            return 0
+            return  # already gone
+        say(f"  [park] {path.name} -> {REJECTED_DIR}/")
 
-    def _admit_backlog(self) -> None:
-        """Re-admit recovered/retryable keys while the queue has room."""
-        while self._backlog and not self.queue.full:
-            key = self._backlog.popleft()
-            payload = self._load_payload(key)
-            if payload is None:
-                self._transition(
-                    key, "lost", error="spec payload missing from specs/"
-                )
-                continue
-            if self.queue.offer(key, payload).admitted:
-                self._transition(key, "admitted")
-
-    def _ingest_spool(self, say) -> None:
-        """Drain the spool into the queue, stopping at capacity."""
-        try:
-            pending = sorted(self.spool.glob("*.json"))
-        except OSError:
-            return
-        for path in pending:
-            if self.queue.full:
-                break  # backpressure: later submissions stay on disk
-            self._ingest_one(path, say)
-
-    def _ingest_one(self, path: Path, say) -> None:
-        try:
-            data = json.loads(path.read_text())
-            spec = ExperimentSpec.from_dict(
-                data.get("spec", data) if isinstance(data, dict) else data
-            )
-        except Exception as exc:
-            self._reject_file(path, "invalid", repr(exc), say)
-            return
-        key = spec.key()
-        label = spec.label()
-        self._labels[key] = label
-        known = self._known.get(key)
-        if known == "quarantined":
-            self.journal.reject("quarantined", key=key)
-            self._retire(path)
-            return
-        if known in _PENDING_STATES:
-            self.journal.reject("duplicate", key=key)
-            self._retire(path)
-            return
-        if key in self.store:
-            # Dedup against the content-addressed cache: completes
-            # instantly, whether or not this service ran it.
-            self._transition(key, "submitted", label=label)
-            self._transition(key, "done", cache_hit=True)
-            self._retire(path)
-            say(f"  [hit ] {label}")
-            return
-        # Accept durably: payload, then journal, then retire the spool
-        # file.  A kill between any two steps re-converges on restart.
-        atomic_write_json(self._payload_path(key), spec.to_dict())
-        self._transition(key, "submitted", label=label)
-        self._retire(path)
-        if self.queue.offer(key, spec.to_dict()).admitted:
-            self._transition(key, "admitted")
-            say(f"  [adm ] {label}")
-        else:  # duplicate in queue; the journal already tracks it
-            self.journal.reject("duplicate", key=key)
-
-    def _reject_file(self, path: Path, reason: str, detail: str,
-                     say) -> None:
-        target = self.rejected_dir / path.name
-        try:
-            os.replace(path, target)
-        except OSError:
-            self._retire(path)
-        self.journal.reject(reason, detail=detail)
-        say(f"  [rej ] {path.name}: {reason} ({detail})")
-
-    @staticmethod
-    def _retire(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-    # -- breaker probes --------------------------------------------------
-    def _probe_quarantined(self, say) -> None:
-        for key in sorted(self._quarantined):
-            if self.queue.full:
-                break
-            breaker = self.breakers.get(key)
-            if breaker.admit() != "probe":
-                continue
-            payload = self._load_payload(key)
-            if payload is None:
-                self._quarantined.discard(key)
-                self._transition(
-                    key, "lost", error="spec payload missing from specs/"
-                )
-                continue
-            self._quarantined.discard(key)
-            if self.queue.offer(key, payload).admitted:
-                self._transition(
-                    key, "probing",
-                    failures=breaker.failures, opens=breaker.opens,
-                )
-                say(f"  [prb ] {self._labels.get(key, key)}")
-
-    # -- execution -------------------------------------------------------
-    def _run_batch(self, batch: List[Tuple[str, Dict]], say) -> None:
-        jobs = []
-        for key, payload in batch:
-            self._transition(key, "running")
-            jobs.append(Job(
-                key=key, label=self._labels.get(key, key),
-                payload=(payload, self.cache_dir),
-            ))
-        self._in_flight = len(jobs)
-        supervisor = JobSupervisor(
-            _execute_spec, slots=self.config.slots, policy=self.policy
-        )
-        outcomes = supervisor.run(jobs)
-        try:
-            for outcome in outcomes:
-                self._settle(outcome, say)
-                self._in_flight -= 1
-                self._write_status(
-                    "draining" if self._drain else "running"
-                )
-        finally:
-            self._in_flight = 0
-            outcomes.close()
-
-    def _settle(self, outcome, say) -> None:
-        key = outcome.key
-        label = self._labels.get(key, key)
-        breaker = self.breakers.get(key)
-        if outcome.ok:
-            breaker.record_success()
-            info = outcome.result or {}
-            cache_hit = bool(info.get("cache_hit", False))
-            self._transition(
-                key, "done", attempts=outcome.attempts,
-                cache_hit=cache_hit,
-            )
-            state = "hit " if cache_hit else "done"
-            say(f"  [{state}] {label} (attempts {outcome.attempts})")
-            return
-        failure = outcome.failure
-        breaker.record_failure()
-        tail = failure.error.strip().splitlines()
-        error = tail[-1] if tail else failure.status
-        if breaker.state == OPEN:
-            self._transition(
-                key, "quarantined", attempts=failure.attempts,
-                failures=breaker.failures, opens=breaker.opens,
-                error=error,
-            )
-            self._quarantined.add(key)
-            say(f"  [QUAR] {label}: breaker open after "
-                f"{breaker.failures} exhausted dispatch(es); retry in "
-                f"{breaker.remaining_s():.1f}s")
-        else:
-            self._transition(
-                key, "failed", attempts=failure.attempts,
-                failures=breaker.failures, error=error,
-            )
-            self._backlog.append(key)
-            say(f"  [FAIL] {label}: {failure.status} "
-                f"(dispatch failures {breaker.failures}/"
-                f"{breaker.threshold})")
-
-    # -- journal/status plumbing ----------------------------------------
-    def _transition(self, key: str, state: str, label: str = "",
-                    **kwargs) -> None:
-        self.journal.transition(
-            key, state, label=label or self._labels.get(key, ""),
-            **kwargs,
-        )
-        self._known[key] = state
-
-    def _maybe_compact(self, say) -> None:
-        if self.journal.line_count() < self.config.compact_every:
-            return
-        folded = self.journal.compact()
-        say(f"  [compact] folded {folded} journal line(s)")
-
-    def _write_status(self, state: str) -> None:
-        view = self.journal.fold()
-        breakers = {
-            key: {
-                "state": b.state,
-                "failures": b.failures,
-                "opens": b.opens,
-                "remaining_s": round(b.remaining_s(), 3),
-            }
-            for key, b in self.breakers.non_closed().items()
+    # -- status ----------------------------------------------------------
+    def _fold_totals(self) -> Dict[str, int]:
+        entries = SweepJournal(self.cache_dir).outcomes().values()
+        return {
+            "executions": sum(e.executions for e in entries),
+            "cache_hit_completions": sum(e.cache_hits for e in entries),
         }
+
+    def _publish(self, state: Optional[str] = None) -> None:
         write_status(self.root, ServiceStatus(
             pid=os.getpid(),
-            state=state,
-            epoch=self._epoch or view.epoch,
+            state=state or ("draining" if self._drain else "running"),
             tick=self._tick,
-            queue_depth=len(self.queue),
-            spool_backlog=self._spool_backlog(),
+            spool_backlog=len(self._spooled()),
             in_flight=self._in_flight,
-            quarantined=len(self._quarantined),
-            journal_lines=view.lines,
-            compactions=view.compactions,
-            totals=view.totals,
-            breakers=breakers,
+            parked=sum(1 for _ in self.rejected_dir.glob("*.json")),
+            totals=self._totals,
         ))

@@ -1,6 +1,6 @@
 """Liveness and health reporting for the experiment service.
 
-The daemon publishes a ``status.json`` under its root on every tick
+The daemon publishes a ``status.json`` under its root on every pass
 (atomic temp-file + ``os.replace``, so readers never see a torn file);
 ``python -m repro serve status`` folds in a PID liveness probe so an
 operator can tell "healthy", "draining", "exited cleanly", and "died
@@ -20,7 +20,7 @@ from ..sweep.store import atomic_write_json
 STATUS_NAME = "status.json"
 
 #: Service lifecycle states published in status.json.
-SERVICE_STATES = ("starting", "running", "draining", "drained")
+SERVICE_STATES = ("running", "draining", "drained")
 
 
 @dataclass
@@ -29,47 +29,33 @@ class ServiceStatus:
 
     pid: int
     state: str  # one of SERVICE_STATES
-    epoch: int  # service starts recorded in the journal
-    tick: int   # loop iterations this start (liveness counter)
-    queue_depth: int = 0
-    spool_backlog: int = 0
-    in_flight: int = 0
-    quarantined: int = 0
-    journal_lines: int = 0
-    compactions: int = 0
+    tick: int   # loop passes this start (liveness counter)
+    spool_backlog: int = 0  # spool files not yet done
+    in_flight: int = 0  # specs in the running batch
+    parked: int = 0  # files in rejected/
     totals: Dict[str, int] = field(default_factory=dict)
-    breakers: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "pid": self.pid, "state": self.state, "epoch": self.epoch,
-            "tick": self.tick, "queue_depth": self.queue_depth,
+            "pid": self.pid, "state": self.state, "tick": self.tick,
             "spool_backlog": self.spool_backlog,
-            "in_flight": self.in_flight,
-            "quarantined": self.quarantined,
-            "journal_lines": self.journal_lines,
-            "compactions": self.compactions,
-            "totals": self.totals, "breakers": self.breakers,
+            "in_flight": self.in_flight, "parked": self.parked,
+            "totals": self.totals,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServiceStatus":
         return cls(
             pid=int(data.get("pid", 0)),
-            state=str(data.get("state", "starting")),
-            epoch=int(data.get("epoch", 0)),
+            state=str(data.get("state", "running")),
             tick=int(data.get("tick", 0)),
-            queue_depth=int(data.get("queue_depth", 0)),
             spool_backlog=int(data.get("spool_backlog", 0)),
             in_flight=int(data.get("in_flight", 0)),
-            quarantined=int(data.get("quarantined", 0)),
-            journal_lines=int(data.get("journal_lines", 0)),
-            compactions=int(data.get("compactions", 0)),
+            parked=int(data.get("parked", 0)),
             totals={
                 str(k): int(v)
                 for k, v in (data.get("totals") or {}).items()
             },
-            breakers=dict(data.get("breakers") or {}),
         )
 
 
@@ -116,23 +102,13 @@ def format_status(status: ServiceStatus, alive: Optional[bool]) -> str:
         liveness = "DEAD (no drain recorded; restart to resume)"
     lines = [
         f"service      : {status.state} (pid {status.pid}: {liveness})",
-        f"epoch        : {status.epoch} start(s), tick {status.tick}",
-        f"queue        : {status.queue_depth} queued, "
-        f"{status.spool_backlog} spooled, {status.in_flight} in flight, "
-        f"{status.quarantined} quarantined",
-        f"journal      : {status.journal_lines} line(s), "
-        f"{status.compactions} compaction(s)",
+        f"pass         : {status.tick}",
+        f"spool        : {status.spool_backlog} spooled, "
+        f"{status.in_flight} in flight, {status.parked} parked",
     ]
     if status.totals:
         totals = ", ".join(
             f"{k}={v}" for k, v in sorted(status.totals.items())
         )
         lines.append(f"totals       : {totals}")
-    for key, info in sorted(status.breakers.items()):
-        lines.append(
-            f"breaker      : {key[:16]} {info.get('state', '?')} "
-            f"(failures {info.get('failures', 0)}, "
-            f"opens {info.get('opens', 0)}, "
-            f"retry in {info.get('remaining_s', 0.0):.1f}s)"
-        )
     return "\n".join(lines)

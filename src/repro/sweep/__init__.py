@@ -1,8 +1,8 @@
 """Parallel figure-sweep runner and the content-addressed result cache.
 
 The evaluation is a (workload x scheme x config-variant) matrix; this
-package fans it across a process pool (``python -m repro sweep``) on top
-of two shared on-disk caches:
+package fans it across supervised worker processes
+(``python -m repro sweep``) on top of two shared on-disk caches:
 
 * :class:`ResultStore` — one atomic file per result, keyed by a content
   hash of the complete :class:`ExperimentSpec` (workload, scheme +
@@ -26,7 +26,6 @@ from .runner import (
     RunReport,
     SweepRunner,
     SweepSummary,
-    executor_pool,
     run_spec,
     stat_gauges,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "RunReport",
     "SweepRunner",
     "SweepSummary",
-    "executor_pool",
     "run_spec",
     "stat_gauges",
     "JournalEntry",

@@ -18,7 +18,13 @@ Design points:
 * **Last entry wins.**  Replays fold the log into one outcome per spec
   key; a re-attempted spec simply appends a newer entry.  ``begin()``
   marks each sweep invocation so tooling can distinguish attempts made by
-  the current invocation from history.
+  the current invocation from history.  The fold also counts, per key and
+  over the whole log, the successful simulations and the cache-hit
+  completions, so a duplicate execution shows as ``executions > 1``.
+* **One journal per cache directory.**  ``repro sweep`` and
+  ``repro serve`` pointed at one cache share this file.  It is never
+  rewritten in place, so it needs no compaction: it grows by one line per
+  finished attempt, i.e. with work done.
 * **No wall-clock timestamps** — the journal stays a pure function of
   what happened, per the determinism contract (simcheck DET001).
 """
@@ -40,6 +46,9 @@ JOURNAL_NAME = "sweep-journal.jsonl"
 #: Spec outcome states a journal entry may carry.
 STATUSES = ("ok", "retried", "failed", "timeout")
 
+#: The statuses that mean the spec's result was published.
+SUCCESS_STATUSES = ("ok", "retried")
+
 
 @dataclass(frozen=True)
 class JournalEntry:
@@ -52,10 +61,12 @@ class JournalEntry:
     cache_hit: bool
     error: Optional[str]  # traceback tail / exit-signal attribution
     run: int  # which begin() epoch recorded it (0 = before any marker)
+    executions: int = 0  # successful simulations, whole log
+    cache_hits: int = 0  # successful cache-hit completions, whole log
 
     @property
     def succeeded(self) -> bool:
-        return self.status in ("ok", "retried")
+        return self.status in SUCCESS_STATUSES
 
 
 class SweepJournal:
@@ -133,7 +144,11 @@ class SweepJournal:
                 continue
 
     def outcomes(self) -> Dict[str, JournalEntry]:
-        """Fold the log into the latest outcome per spec key."""
+        """Fold the log into the latest outcome per spec key.
+
+        Each entry carries its key's cumulative ``executions`` and
+        ``cache_hits`` over every epoch and every writer.
+        """
         folded: Dict[str, JournalEntry] = {}
         run = 0
         for payload in self._lines():
@@ -147,14 +162,25 @@ class SweepJournal:
             status = payload.get("status")
             if not key or status not in STATUSES:
                 continue
+            cache_hit = bool(payload.get("cache_hit", False))
+            prior = folded.get(key)
+            executions = prior.executions if prior else 0
+            cache_hits = prior.cache_hits if prior else 0
+            if status in SUCCESS_STATUSES:
+                if cache_hit:
+                    cache_hits += 1
+                else:
+                    executions += 1
             folded[key] = JournalEntry(
                 key=key,
                 label=str(payload.get("label", "")),
                 status=status,
                 attempts=int(payload.get("attempts", 1)),
-                cache_hit=bool(payload.get("cache_hit", False)),
+                cache_hit=cache_hit,
                 error=payload.get("error"),
                 run=run,
+                executions=executions,
+                cache_hits=cache_hits,
             )
         return folded
 

@@ -41,8 +41,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, sleep
@@ -194,24 +192,8 @@ def run_spec(
     )
 
 
-@contextmanager
-def executor_pool(max_workers: int):
-    """A ProcessPoolExecutor that never leaks workers.
-
-    Unlike the executor's own context manager (which only waits), the
-    exit path cancels queued futures before waiting, so an interrupt or
-    exception mid-phase stops dispatching new work and still reaps every
-    worker process.
-    """
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 # ----------------------------------------------------------------------
-# Pool workers (top-level so they pickle under any start method).
+# Supervised workers (top-level so they pickle under any start method).
 # ----------------------------------------------------------------------
 def _warm_trace_worker(
     args: Tuple[str, int, int, object, str]
@@ -254,7 +236,6 @@ class SweepRunner:
         backoff_s: float = 0.25,
         max_backoff_s: Optional[float] = 60.0,
         resume: bool = False,
-        use_journal: bool = True,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
@@ -267,7 +248,6 @@ class SweepRunner:
         )
         self.policy.validate()
         self.resume = resume
-        self.use_journal = use_journal
 
     # ------------------------------------------------------------------
     def _unique_traces(
@@ -304,11 +284,10 @@ class SweepRunner:
         summary = SweepSummary()
         registry = StatRegistry()
         started = perf_counter()
-        journal = SweepJournal(self.cache_dir) if self.use_journal else None
+        journal = SweepJournal(self.cache_dir)
         try:
             todo = self._resume_filter(summary, journal, say)
-            if journal is not None:
-                journal.begin(len(todo))
+            journal.begin(len(todo))
             if self.workers <= 1 and self.policy.timeout_s is None:
                 self._run_serial(todo, summary, registry, journal, say)
             else:
@@ -326,7 +305,7 @@ class SweepRunner:
     def _resume_filter(
         self,
         summary: SweepSummary,
-        journal: Optional[SweepJournal],
+        journal: SweepJournal,
         say,
     ) -> List[ExperimentSpec]:
         """Drop specs an earlier invocation completed (``resume=True``).
@@ -335,7 +314,7 @@ class SweepRunner:
         success *and* its result file is actually present — a journal
         that outlived a cleared cache falls back to re-running.
         """
-        if not self.resume or journal is None:
+        if not self.resume:
             return list(self.specs)
         outcomes = journal.outcomes()
         store = ResultStore(self.cache_dir)
@@ -382,15 +361,14 @@ class SweepRunner:
         self,
         summary: SweepSummary,
         failure: FailedRun,
-        journal: Optional[SweepJournal],
+        journal: SweepJournal,
         say,
     ) -> None:
         summary.failures.append(failure)
-        if journal is not None:
-            journal.record(
-                failure.key, failure.label, failure.status,
-                attempts=failure.attempts, error=failure.error,
-            )
+        journal.record(
+            failure.key, failure.label, failure.status,
+            attempts=failure.attempts, error=failure.error,
+        )
         reason = failure.error.strip().splitlines()
         tail = reason[-1] if reason else failure.status
         say(f"  [FAIL] {failure.label:<48} {failure.elapsed_s:7.2f}s  "
@@ -400,14 +378,13 @@ class SweepRunner:
         self,
         summary: SweepSummary,
         report: RunReport,
-        journal: Optional[SweepJournal],
+        journal: SweepJournal,
         say,
     ) -> None:
-        if journal is not None:
-            journal.record(
-                report.key, report.label, report.status,
-                attempts=report.attempts, cache_hit=report.cache_hit,
-            )
+        journal.record(
+            report.key, report.label, report.status,
+            attempts=report.attempts, cache_hit=report.cache_hit,
+        )
         self._note(summary, report, say)
 
     # ------------------------------------------------------------------
@@ -437,9 +414,7 @@ class SweepRunner:
                     raise
                 except Exception:
                     if attempt <= self.policy.retries:
-                        sleep(self.policy.backoff_for(
-                            attempt + 1, token=spec.key()
-                        ))
+                        sleep(self.policy.backoff_for(attempt + 1))
                         continue
                     self._note_failure(
                         summary,
@@ -470,35 +445,26 @@ class SweepRunner:
                 break
 
     def _run_supervised(self, todo, summary, registry, journal, say) -> None:
-        # Phase 1: each unique trace generated exactly once, in a pool
-        # (short, CPU-bound, no timeout semantics needed).
-        warm_tasks = self._unique_traces(todo)
-        if warm_tasks and self.workers > 1:
-            with executor_pool(self.workers) as pool:
-                warm = [
-                    pool.submit(_warm_trace_worker, task)
-                    for task in warm_tasks
-                ]
-                for future in as_completed(warm):
-                    try:
-                        workload, hit, elapsed = future.result()
-                    except Exception:
-                        continue  # surfaces as a spec failure in phase 2
-                    summary.trace_reports.append((workload, hit, elapsed))
-                    state = "trace hit" if hit else "trace gen"
-                    say(f"  [{state}] {workload:<43} {elapsed:7.2f}s")
-        elif warm_tasks:
-            traces = TraceStore(self.cache_dir)
-            for workload, hosts, cores, scale, _dir in warm_tasks:
-                t0 = perf_counter()
-                try:
-                    _trace, hit = traces.warm(workload, hosts, cores, scale)
-                except Exception:
-                    say(f"  [FAIL] trace {workload}")
-                    continue
-                summary.trace_reports.append(
-                    (workload, hit, perf_counter() - t0)
-                )
+        # Phase 1: each unique trace generated exactly once, in one-shot
+        # supervised children (short, CPU-bound, no timeout or retry).
+        # Unlike a process pool's workers, which block forever on their
+        # task queue once the parent is SIGKILLed, a child exits when its
+        # one task is done, so a killed sweep or daemon leaks nothing.
+        warmer = JobSupervisor(_warm_trace_worker, slots=self.workers)
+        warm = warmer.run([
+            Job(key=task[0], label=task[0], payload=task)
+            for task in self._unique_traces(todo)
+        ])
+        try:
+            for outcome in warm:
+                if not outcome.ok:
+                    continue  # surfaces as a spec failure in phase 2
+                workload, hit, elapsed = outcome.result
+                summary.trace_reports.append((workload, hit, elapsed))
+                state = "trace hit" if hit else "trace gen"
+                say(f"  [{state}] {workload:<43} {elapsed:7.2f}s")
+        finally:
+            warm.close()
         # Phase 2: supervised fan-out — crash isolation, timeout, retry.
         supervisor = JobSupervisor(
             _run_spec_worker, slots=self.workers, policy=self.policy

@@ -31,7 +31,6 @@ hangs/crashes without pickling anything.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing as mp
 import signal
 import traceback
@@ -54,19 +53,13 @@ class SupervisorPolicy:
     """Per-job failure policy: timeout, bounded retry, capped backoff.
 
     Exponential backoff is capped at ``max_backoff_s`` so a deep retry
-    budget cannot grow the delay without bound, and ``jitter`` spreads
-    concurrent retries deterministically (each delay is scaled by a
-    factor in ``[1 - jitter, 1 + jitter)`` derived from
-    ``(jitter_seed, token, attempt)``) so many slots failing together do
-    not re-launch in lockstep.
+    budget cannot grow the delay without bound.
     """
 
     timeout_s: Optional[float] = None  # None = never time a job out
     retries: int = 0  # re-attempts after the first failure
     backoff_s: float = 0.25  # base delay; doubles per re-attempt
     max_backoff_s: Optional[float] = 60.0  # cap on the doubled delay
-    jitter: float = 0.0  # +/- fraction of the delay, deterministic
-    jitter_seed: int = 0
 
     def validate(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
@@ -77,24 +70,12 @@ class SupervisorPolicy:
             raise ValueError("backoff_s must be >= 0")
         if self.max_backoff_s is not None and self.max_backoff_s <= 0:
             raise ValueError("max_backoff_s must be positive (or None)")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
-    def backoff_for(self, attempt: int, token: str = "") -> float:
-        """Delay before re-attempt number ``attempt`` (2, 3, ...).
-
-        ``token`` (typically the job key) decorrelates the jitter of
-        different jobs retrying at the same attempt number.
-        """
+    def backoff_for(self, attempt: int) -> float:
+        """Delay before re-attempt number ``attempt`` (2, 3, ...)."""
         delay = self.backoff_s * (2 ** max(0, attempt - 2))
         if self.max_backoff_s is not None:
             delay = min(delay, self.max_backoff_s)
-        if self.jitter and delay > 0.0:
-            seed = f"{self.jitter_seed}|{token}|{attempt}".encode("utf-8")
-            draw = int.from_bytes(
-                hashlib.sha256(seed).digest()[:8], "big"
-            ) / float(2 ** 64)  # [0, 1)
-            delay *= 1.0 + self.jitter * (2.0 * draw - 1.0)
         return delay
 
 
@@ -352,9 +333,7 @@ class JobSupervisor:
     def _schedule_retry(self, state: _Attempt,
                         delayed: List[tuple]) -> None:
         next_attempt = state.attempt + 1
-        ready_at = monotonic() + self.policy.backoff_for(
-            next_attempt, token=state.job.key
-        )
+        ready_at = monotonic() + self.policy.backoff_for(next_attempt)
         delayed.append(
             (ready_at, state.job, next_attempt, state.first_started)
         )

@@ -1,7 +1,7 @@
 """Shared on-disk trace cache.
 
 Trace synthesis is pure and seeded, but not free — a sweep that fans one
-workload's (scheme x config) column across a process pool would otherwise
+workload's (scheme x config) column across worker processes would otherwise
 regenerate the identical trace once per worker.  The store keys traces by
 a content hash of everything generation depends on (workload name, host
 and core counts, the full :class:`~repro.workloads.trace.WorkloadScale`)

@@ -1,31 +1,24 @@
-"""The experiment service: admission, breakers, journal, recovery, drain."""
+"""The experiment service: spool batches, parking, recovery, drain, status."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro import SystemConfig
-from repro.config import ServeConfig
-from repro.serve import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    AdmissionDecision,
-    AdmissionQueue,
-    CircuitBreaker,
-    ExperimentService,
-    ServiceJournal,
-    submit_spec,
-)
+from repro.serve import ExperimentService, submit_spec
 from repro.serve.status import (
     ServiceStatus,
     format_status,
     pid_alive,
     read_status,
 )
-from repro.sweep import ExperimentSpec, run_spec
+from repro.sweep import (
+    ExperimentSpec,
+    ResultStore,
+    SweepJournal,
+    SweepRunner,
+    run_spec,
+)
 from repro.workloads.trace import WorkloadScale
 
 TINY = WorkloadScale.tiny()
@@ -41,257 +34,119 @@ def _spec(workload="pr", scheme="pipm", **scheme_kwargs):
 
 
 def _poison_spec():
-    """Parses and journals fine; every worker dispatch raises."""
+    """Parses and keys fine; every attempt to run it raises."""
     return _spec(scheme_kwargs_marker=1)
 
 
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, dt):
-        self.now += dt
+def _service(tmp_path, **overrides):
+    overrides.setdefault("retries", 0)
+    overrides.setdefault("backoff_s", 0.01)
+    return ExperimentService(tmp_path / "svc", **overrides)
 
 
-class TestAdmissionQueue:
-    def test_limit_validation(self):
-        with pytest.raises(ValueError, match="limit"):
-            AdmissionQueue(0)
-
-    def test_decision_reason_vocabulary_enforced(self):
-        with pytest.raises(ValueError, match="reason"):
-            AdmissionDecision(False, "because")
-
-    def test_fifo_order_and_take(self):
-        queue = AdmissionQueue(8)
-        for name in ("a", "b", "c"):
-            assert queue.offer(name, name.upper()).admitted
-        assert queue.take(2) == [("a", "A"), ("b", "B")]
-        assert queue.take(5) == [("c", "C")]
-        assert len(queue) == 0
-
-    def test_duplicate_rejected_with_reason(self):
-        queue = AdmissionQueue(8)
-        assert queue.offer("k", 1).admitted
-        decision = queue.offer("k", 2)
-        assert not decision.admitted
-        assert decision.reason == "duplicate"
-        assert len(queue) == 1
-
-    def test_capacity_is_a_hard_bound(self):
-        queue = AdmissionQueue(2)
-        assert queue.offer("a", 1).admitted
-        assert queue.offer("b", 2).admitted
-        assert queue.full and queue.room == 0
-        decision = queue.offer("c", 3)
-        assert not decision.admitted
-        assert decision.reason == "queue-full"
-        assert queue.keys() == ["a", "b"]
-        # Draining reopens admission.
-        queue.take(1)
-        assert queue.offer("c", 3).admitted
-
-
-class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, cooldown=5.0, cap=20.0):
-        return CircuitBreaker(threshold, cooldown, cap, clock=clock)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            CircuitBreaker(0, 1.0, 2.0)
-        with pytest.raises(ValueError, match="cooldown"):
-            CircuitBreaker(1, 2.0, 1.0)
-
-    def test_trips_at_threshold_then_quarantines(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        assert breaker.admit() == "ok"
-        assert breaker.record_failure() is False
-        assert breaker.record_failure() is False
-        assert breaker.state == CLOSED
-        assert breaker.record_failure() is True
-        assert breaker.state == OPEN
-        assert breaker.admit() == "quarantined"
-        assert breaker.remaining_s() == pytest.approx(5.0)
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.admit() == "probe"
-        assert breaker.state == HALF_OPEN
-        assert breaker.admit() == "quarantined"  # probe slot committed
-
-    def test_probe_success_closes_and_resets(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock)
-        for _ in range(3):
-            breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.admit() == "probe"
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.failures == 0 and breaker.opens == 0
-        assert breaker.admit() == "ok"
-
-    def test_probe_failure_doubles_cooldown_capped(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, cooldown=5.0, cap=12.0)
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.current_cooldown_s() == 5.0
-        # First failed probe: cooldown doubles to 10s.
-        clock.advance(5.0)
-        assert breaker.admit() == "probe"
-        assert breaker.record_failure() is True
-        assert breaker.remaining_s() == pytest.approx(10.0)
-        # Second failed probe: 20s would exceed the cap; clamps to 12s.
-        clock.advance(10.0)
-        assert breaker.admit() == "probe"
-        breaker.record_failure()
-        assert breaker.remaining_s() == pytest.approx(12.0)
-
-    def test_restore_rearms_cooldown_from_now(self):
-        clock = FakeClock(100.0)
-        breaker = self._breaker(clock)
-        breaker.restore(OPEN, failures=3, opens=2)
-        assert breaker.state == OPEN
-        assert breaker.remaining_s() == pytest.approx(10.0)  # 5 * 2^1
-        clock.advance(10.0)
-        assert breaker.admit() == "probe"
-        # A closed restore carries counters but admits freely.
-        other = self._breaker(FakeClock())
-        other.restore(CLOSED, failures=1, opens=0)
-        assert other.admit() == "ok"
+def _spooled(service):
+    return list(service.spool.glob("*.json"))
 
 
 class TestServiceJournal:
+    """The service's journal is the sweep journal under its cache."""
+
     def test_rejects_unknown_state(self, tmp_path):
-        with pytest.raises(ValueError, match="state"):
-            ServiceJournal(tmp_path).transition("k", "meditating")
+        """Writing an unknown status raises; a line carrying one, or a
+        line of the old transition vocabulary, counts toward nothing."""
+        service = _service(tmp_path)
+        journal = SweepJournal(service.cache_dir)
+        with pytest.raises(ValueError, match="status"):
+            journal.record("k", "pr/pipm", "meditating")
+        journal.root.mkdir(parents=True)
+        with open(journal.path, "a") as fh:
+            fh.write('{"event":"spec","key":"k","status":"meditating"}\n')
+            fh.write('{"event":"state","key":"k","state":"done"}\n')
+        assert journal.outcomes() == {}
+        assert service.run(exit_when_idle=True) == 0
+        assert read_status(service.root).totals == {
+            "executions": 0, "cache_hit_completions": 0,
+        }
 
     def test_fold_tracks_lifecycle_and_totals(self, tmp_path):
-        journal = ServiceJournal(tmp_path)
-        journal.epoch(pid=1)
-        journal.transition("k1", "submitted", label="pr/pipm")
-        journal.transition("k1", "admitted")
-        journal.transition("k1", "running")
-        journal.transition("k1", "done", attempts=1)
-        journal.transition("k2", "submitted")
-        journal.transition("k2", "done", cache_hit=True)
-        journal.reject("queue-full", key="k3")
-        view = journal.fold()
-        assert view.epoch == 1
-        assert view.entries["k1"].state == "done"
-        assert view.entries["k1"].label == "pr/pipm"
-        assert view.entries["k1"].runs == 1
-        assert view.entries["k2"].cache_hits == 1
-        assert view.entries["k2"].runs == 0
-        assert view.totals["executions"] == 1
-        assert view.totals["cache_hit_completions"] == 1
-        assert view.totals["rejected"] == 1
+        """One pass: an executed spec, a cache hit and a failure.  Each
+        key folds to its last outcome, and the status totals sum the
+        per-key counts."""
+        service = _service(tmp_path, slots=3)
+        fresh = _spec("pr", "pipm")
+        published = _spec("pr", "native")
+        poison = _poison_spec()
+        run_spec(published, service.cache_dir)  # result already stored
+        for spec in (fresh, published, poison):
+            submit_spec(service.root, spec)
+        assert service.run(exit_when_idle=True) == 0
+        outcomes = SweepJournal(service.cache_dir).outcomes()
+        ran = outcomes[fresh.key()]
+        assert ran.status == "ok" and ran.label == fresh.label()
+        assert (ran.executions, ran.cache_hits) == (1, 0)
+        hit = outcomes[published.key()]
+        assert hit.succeeded and hit.cache_hit
+        assert (hit.executions, hit.cache_hits) == (0, 1)
+        bad = outcomes[poison.key()]
+        assert bad.status == "failed"
+        assert (bad.executions, bad.cache_hits) == (0, 0)
+        status = read_status(service.root)
+        assert status.totals == {
+            "executions": 1, "cache_hit_completions": 1,
+        }
+        assert status.parked == 1
 
     def test_empty_string_error_survives_fold(self, tmp_path):
-        journal = ServiceJournal(tmp_path)
-        journal.transition("k", "failed", error="")
-        assert journal.fold().entries["k"].error == ""
+        """A failure journalled with an empty message keeps its error
+        field and stays a failure: the service re-runs the spec rather
+        than resuming past it as done."""
+        service = _service(tmp_path)
+        spec = _spec()
+        journal = SweepJournal(service.cache_dir)
+        journal.record(spec.key(), spec.label(), "failed", error="")
+        assert journal.outcomes()[spec.key()].error == ""
+        submit_spec(service.root, spec)
+        assert service.run(exit_when_idle=True) == 0
+        entry = journal.outcomes()[spec.key()]
+        assert entry.succeeded and entry.error is None
+        assert entry.executions == 1
+        assert spec.key() in ResultStore(service.cache_dir)
 
     def test_torn_tail_is_skipped(self, tmp_path):
-        journal = ServiceJournal(tmp_path)
-        journal.transition("k1", "submitted")
-        journal.transition("k1", "running")
+        """A line torn by a writer that died mid-append is skipped: a
+        restarted service still sees the spec done and counts only
+        whole lines."""
+        service = _service(tmp_path)
+        spec = _spec()
+        submit_spec(service.root, spec)
+        assert service.run(exit_when_idle=True) == 0
+        journal = SweepJournal(service.cache_dir)
         with open(journal.path, "ab") as fh:
-            fh.write(b'{"event": "state", "key": "k1", "sta')
-        view = journal.fold()
-        assert view.entries["k1"].state == "running"
-        assert view.lines == 2
-
-    def test_compaction_bounds_lines_and_keeps_accounting(self, tmp_path):
-        journal = ServiceJournal(tmp_path)
-        journal.epoch(pid=1)
-        for step in ("submitted", "admitted", "running", "done"):
-            journal.transition("k1", step, label="pr/pipm")
-        journal.transition("k2", "submitted")
-        journal.transition("k2", "done", cache_hit=True)
-        before = journal.fold()
-        folded = journal.compact()
-        assert folded == before.lines - 1
-        assert journal.line_count() == 1
-        after = journal.fold()
-        assert after.entries["k1"].runs == 1
-        assert after.entries["k1"].label == "pr/pipm"
-        assert after.entries["k2"].cache_hits == 1
-        assert after.epoch == 1
-        assert after.compactions == 1
-        assert after.totals == before.totals
-        # Appends after compaction fold on top of the snapshot, and a
-        # second completion of k1 keeps accumulating its run counter.
-        journal.transition("k1", "submitted")
-        journal.transition("k1", "done")
-        assert journal.fold().entries["k1"].runs == 2
-
-    def test_repeated_compaction_is_idempotent(self, tmp_path):
-        journal = ServiceJournal(tmp_path)
-        for _ in range(3):
-            journal.transition("k", "submitted")
-            journal.transition("k", "done")
-        journal.compact()
-        first = journal.fold()
-        journal.compact()
-        second = journal.fold()
-        assert second.entries["k"].runs == first.entries["k"].runs == 3
-        assert second.compactions == 2
-        assert journal.line_count() == 1
-
-    def test_kill_mid_compaction_leaves_old_journal(self, tmp_path):
-        """A temp file left by a dead compactor is swept; log intact."""
-        journal = ServiceJournal(tmp_path)
-        journal.transition("k1", "submitted")
-        journal.transition("k1", "done")
-        # Simulate a compactor killed after writing its temp file but
-        # before the atomic os.replace: the real journal is untouched.
-        orphan = tmp_path / f".{journal.path.name}.dead0.tmp"
-        orphan.write_bytes(b'{"event": "snapshot", "entries": []}\n')
-        view = journal.fold()
-        assert view.entries["k1"].state == "done"
-        assert journal.cleanup_temp() == 1
-        assert not orphan.exists()
-        assert journal.fold().entries["k1"].runs == 1
+            fh.write(b'{"event":"spec","key":"k2","status":"ok","cach')
+        assert set(journal.outcomes()) == {spec.key()}
+        submit_spec(service.root, spec)
+        lines = []
+        again = _service(tmp_path)
+        assert again.run(exit_when_idle=True, progress=lines.append) == 0
+        assert any("[skip]" in line for line in lines)
+        assert journal.outcomes()[spec.key()].executions == 1
+        assert read_status(again.root).totals == {
+            "executions": 1, "cache_hit_completions": 0,
+        }
 
     def test_missing_journal_folds_empty(self, tmp_path):
-        journal = ServiceJournal(tmp_path / "nowhere")
-        view = journal.fold()
-        assert view.entries == {} and view.lines == 0
-        assert journal.line_count() == 0
-
-
-class TestServeConfig:
-    def test_defaults_validate(self):
-        ServeConfig().validate()
-
-    def test_validation_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            ServeConfig(queue_limit=0).validate()
-        with pytest.raises(ValueError):
-            ServeConfig(compact_every=2).validate()
-        with pytest.raises(ValueError):
-            ServeConfig(
-                breaker_cooldown_s=10.0, breaker_cooldown_max_s=1.0
-            ).validate()
-
-    def test_round_trip(self):
-        config = ServeConfig(slots=3, breaker_threshold=5)
-        again = ServeConfig.from_dict(config.to_dict())
-        assert again == config
-
-    def test_from_dict_ignores_unknown_keys(self):
-        config = ServeConfig.from_dict({"slots": 1, "vibe": "immaculate"})
-        assert config.slots == 1
+        """A service started on an empty cache publishes zero totals
+        and creates no journal: only finished work writes to it."""
+        service = _service(tmp_path)
+        journal = SweepJournal(service.cache_dir)
+        assert journal.outcomes() == {} and journal.epochs() == 0
+        assert service.run(exit_when_idle=True) == 0
+        assert not journal.path.exists()
+        status = read_status(service.root)
+        assert status.state == "drained" and status.spool_backlog == 0
+        assert status.totals == {
+            "executions": 0, "cache_hit_completions": 0,
+        }
 
 
 class TestStatus:
@@ -299,10 +154,8 @@ class TestStatus:
         import os
 
         status = ServiceStatus(
-            pid=os.getpid(), state="running", epoch=2, tick=9,
-            queue_depth=1, totals={"done": 4},
-            breakers={"k": {"state": "open", "failures": 3, "opens": 1,
-                            "remaining_s": 4.5}},
+            pid=os.getpid(), state="running", tick=9,
+            spool_backlog=2, in_flight=1, parked=1, totals={"done": 4},
         )
         from repro.serve.status import write_status
 
@@ -313,29 +166,25 @@ class TestStatus:
         assert not pid_alive(-1)
         text = format_status(loaded, alive=True)
         assert "running" in text and "alive" in text and "done=4" in text
+        assert "1 parked" in text
 
     def test_dead_without_drain_is_called_out(self):
-        status = ServiceStatus(pid=1, state="running", epoch=1, tick=1)
+        status = ServiceStatus(pid=1, state="running", tick=1)
         assert "DEAD" in format_status(status, alive=False)
-        drained = ServiceStatus(pid=1, state="drained", epoch=1, tick=1)
+        drained = ServiceStatus(pid=1, state="drained", tick=1)
         assert "exited after drain" in format_status(drained, alive=False)
 
     def test_missing_status_reads_none(self, tmp_path):
         assert read_status(tmp_path / "nowhere") is None
 
 
-def _service(tmp_path, clock=None, **overrides):
-    overrides.setdefault("retries", 0)
-    overrides.setdefault("backoff_s", 0.01)
-    overrides.setdefault("breaker_cooldown_s", 0.2)
-    overrides.setdefault("breaker_cooldown_max_s", 1.0)
-    overrides.setdefault("tick_s", 0.01)
-    config = ServeConfig(**overrides)
-    kwargs = {"clock": clock} if clock is not None else {}
-    return ExperimentService(tmp_path / "svc", config=config, **kwargs)
-
-
 class TestExperimentService:
+    def test_rejects_bad_policy_at_start_up(self, tmp_path):
+        with pytest.raises(ValueError, match="slots"):
+            _service(tmp_path, slots=0)
+        with pytest.raises(ValueError, match="retries"):
+            _service(tmp_path, retries=-1)
+
     def test_submit_is_idempotent_by_content_key(self, tmp_path):
         spec = _spec()
         first = submit_spec(tmp_path, spec)
@@ -349,17 +198,61 @@ class TestExperimentService:
         for spec in specs:
             submit_spec(service.root, spec)
         assert service.run(exit_when_idle=True) == 0
-        view = service.journal.fold()
+        outcomes = SweepJournal(service.cache_dir).outcomes()
         for spec in specs:
-            entry = view.entries[spec.key()]
-            assert entry.state == "done"
-            assert entry.runs == 1
-        assert view.totals["executions"] == len(specs)
-        assert all(spec.key() in service.store for spec in specs)
-        # The spool was drained and the accepted payloads persisted.
-        assert not list(service.spool.glob("*.json"))
+            entry = outcomes[spec.key()]
+            assert entry.succeeded
+            assert entry.executions == 1
+        store = ResultStore(service.cache_dir)
+        assert all(spec.key() in store for spec in specs)
+        assert not _spooled(service)
         status = read_status(service.root)
         assert status.state == "drained"
+        assert status.totals == {
+            "executions": 2, "cache_hit_completions": 0,
+        }
+        # The sweep journal under the cache is the only journal.
+        assert sorted(p.name for p in service.root.iterdir()) == [
+            "cache", "rejected", "spool", "status.json",
+        ]
+
+    def test_idle_passes_append_nothing_and_never_refold(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.service as service_mod
+
+        service = _service(tmp_path)
+        submit_spec(service.root, _spec())
+        assert service.run(exit_when_idle=True) == 0
+        journal = SweepJournal(service.cache_dir)
+        before = journal.path.read_bytes()
+
+        folds = []
+        real_outcomes = SweepJournal.outcomes
+
+        def counting_outcomes(self):
+            folds.append(self.path)
+            return real_outcomes(self)
+
+        monkeypatch.setattr(SweepJournal, "outcomes", counting_outcomes)
+        idle = _service(tmp_path)
+        naps = []
+
+        def nap(seconds):
+            naps.append(seconds)
+            if len(naps) == 3:
+                idle.request_drain()
+
+        monkeypatch.setattr(service_mod, "sleep", nap)
+        assert idle.run() == 0
+        assert naps == [service_mod.IDLE_POLL_S] * 3
+        assert journal.path.read_bytes() == before
+        assert len(folds) == 1  # the start-up fold; none per idle pass
+        status = read_status(idle.root)
+        assert status.state == "drained" and status.tick == 3
+        assert status.totals == {
+            "executions": 1, "cache_hit_completions": 0,
+        }
 
     def test_resubmitting_done_spec_is_a_cache_hit(self, tmp_path):
         service = _service(tmp_path)
@@ -367,117 +260,108 @@ class TestExperimentService:
         submit_spec(service.root, spec)
         assert service.run(exit_when_idle=True) == 0
         submit_spec(service.root, spec)
+        lines = []
         again = _service(tmp_path)
-        assert again.run(exit_when_idle=True) == 0
-        entry = again.journal.fold().entries[spec.key()]
-        assert entry.runs == 1          # executed exactly once, ever
-        assert entry.cache_hits >= 1
+        assert again.run(exit_when_idle=True, progress=lines.append) == 0
+        entry = SweepJournal(again.cache_dir).outcomes()[spec.key()]
+        assert entry.executions == 1          # executed exactly once, ever
+        assert any("[skip]" in line for line in lines)  # done from cache
+        assert not _spooled(again)
 
-    def test_recovery_completes_published_result_without_rerun(
-        self, tmp_path
-    ):
-        """Kill after ResultStore.put but before journalling ``done``."""
+    def test_sweep_and_serve_share_one_journal(self, tmp_path):
         spec = _spec()
         service = _service(tmp_path)
-        service._ensure_dirs()
-        # The dead service accepted the spec and its worker published
-        # the result, but the ``done`` transition never hit the journal.
-        run_spec(spec, service.cache_dir)
-        from repro.sweep.store import atomic_write_json
+        SweepRunner([spec], service.cache_dir).run()
+        submit_spec(service.root, spec)
+        assert service.run(exit_when_idle=True) == 0
+        entry = SweepJournal(service.cache_dir).outcomes()[spec.key()]
+        assert entry.executions == 1          # the sweep's run, not rerun
+        assert read_status(service.root).totals["executions"] == 1
+        assert not _spooled(service)
 
-        atomic_write_json(
-            service.specs_dir / f"{spec.key()}.json", spec.to_dict()
-        )
-        journal = ServiceJournal(service.root)
-        journal.epoch(pid=99999)
-        journal.transition("k-" + spec.key(), "done")  # unrelated, done
-        journal.transition(spec.key(), "submitted", label=spec.label())
-        journal.transition(spec.key(), "admitted")
-        journal.transition(spec.key(), "running")
-        fresh = _service(tmp_path)
-        assert fresh.run(exit_when_idle=True) == 0
-        entry = fresh.journal.fold().entries[spec.key()]
-        assert entry.state == "done"
-        assert entry.runs == 0          # recovery never re-executed it
+    def test_recovery_completes_published_result_without_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        """Kill after ResultStore.put but before the journal line.
+
+        The spec is still in the spool and its result is in the store,
+        but the journal has no outcome for it.
+        """
+        import repro.sweep.runner as runner_mod
+
+        calls = []
+        real_simulate = runner_mod.simulate
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(1)
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "simulate", counting_simulate)
+        spec = _spec()
+        service = _service(tmp_path, slots=1)  # in-process: calls count
+        run_spec(spec, service.cache_dir)      # the killed worker's run
+        journal = SweepJournal(service.cache_dir)
+        journal.begin(1)                       # the killed daemon's batch
+        submit_spec(service.root, spec)
+        assert service.run(exit_when_idle=True) == 0
+        assert len(calls) == 1                 # the one execution, still
+        entry = journal.outcomes()[spec.key()]
+        assert entry.succeeded and entry.cache_hit
+        assert entry.executions == 0
         assert entry.cache_hits == 1
+        assert not _spooled(service)
 
     def test_recovery_resumes_pending_spec_exactly_once(self, tmp_path):
         """Kill mid-run, before any result: restart runs it once."""
         spec = _spec()
         service = _service(tmp_path)
-        service._ensure_dirs()
-        from repro.sweep.store import atomic_write_json
-
-        atomic_write_json(
-            service.specs_dir / f"{spec.key()}.json", spec.to_dict()
-        )
-        journal = ServiceJournal(service.root)
-        journal.epoch(pid=99999)
-        journal.transition(spec.key(), "submitted", label=spec.label())
-        journal.transition(spec.key(), "running")
-        fresh = _service(tmp_path)
-        assert fresh.run(exit_when_idle=True) == 0
-        entry = fresh.journal.fold().entries[spec.key()]
-        assert entry.state == "done" and entry.runs == 1
-
-    def test_recovery_marks_missing_payload_lost(self, tmp_path):
-        journal = ServiceJournal(tmp_path / "svc")
-        journal.transition("gone", "admitted", label="x")
-        service = _service(tmp_path)
+        submit_spec(service.root, spec)
+        journal = SweepJournal(service.cache_dir)
+        journal.begin(1)  # the killed daemon's batch, no outcome
         assert service.run(exit_when_idle=True) == 0
-        entry = service.journal.fold().entries["gone"]
-        assert entry.state == "lost"
-        assert "missing" in entry.error
+        entry = journal.outcomes()[spec.key()]
+        assert entry.succeeded and entry.executions == 1
+        assert spec.key() in ResultStore(service.cache_dir)
+        assert not _spooled(service)
 
-    def test_poison_spec_trips_breaker_without_stalling_queue(
-        self, tmp_path
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_poison_spec_parked_without_stalling_healthy_work(
+        self, tmp_path, slots
     ):
-        clock = FakeClock()
-        service = _service(
-            tmp_path, clock=clock, slots=2, breaker_threshold=2
-        )
+        service = _service(tmp_path, slots=slots)
         poison = _poison_spec()
         healthy = _spec()
         submit_spec(service.root, poison)
         submit_spec(service.root, healthy)
         assert service.run(exit_when_idle=True) == 0
-        view = service.journal.fold()
-        assert view.entries[healthy.key()].state == "done"
-        bad = view.entries[poison.key()]
-        assert bad.state == "quarantined"
-        assert bad.opens == 1
-        assert bad.failures >= 2
-        assert bad.error            # attribution journalled
-        breaker = service.breakers.get(poison.key())
-        assert breaker.state == OPEN
-        # While the cooldown runs, a resubmission is refused outright.
-        clock.advance(0.0)
-        assert breaker.admit() == "quarantined"
+        outcomes = SweepJournal(service.cache_dir).outcomes()
+        assert outcomes[healthy.key()].succeeded
+        bad = outcomes[poison.key()]
+        assert bad.status == "failed"
+        assert "scheme_kwargs_marker" in bad.error  # attribution kept
+        assert (service.rejected_dir / f"{poison.key()}.json").exists()
+        assert poison.key() not in ResultStore(service.cache_dir)
+        assert not _spooled(service)
+        assert read_status(service.root).parked == 1
 
     def test_drain_stops_admitting_and_exits_zero(self, tmp_path):
         service = _service(tmp_path)
         submit_spec(service.root, _spec())
         service.request_drain()
         assert service.run() == 0
-        # Never admitted: the submission is still spooled for later.
-        assert len(list(service.spool.glob("*.json"))) == 1
-        assert read_status(service.root).state == "drained"
+        # Never run: the submission is still spooled for later.
+        assert len(_spooled(service)) == 1
+        assert not SweepJournal(service.cache_dir).path.exists()
+        status = read_status(service.root)
+        assert status.state == "drained" and status.spool_backlog == 1
 
     def test_invalid_submission_moved_aside_and_journalled(self, tmp_path):
         service = _service(tmp_path)
-        service._ensure_dirs()
+        service.spool.mkdir(parents=True)
         (service.spool / "garbage.json").write_text("{not json")
         assert service.run(exit_when_idle=True) == 0
         assert (service.rejected_dir / "garbage.json").exists()
-        assert not list(service.spool.glob("*.json"))
-        assert service.journal.fold().totals["rejected"] == 1
-
-    def test_service_compacts_when_journal_grows(self, tmp_path):
-        service = _service(tmp_path, compact_every=8)
-        journal = ServiceJournal(service.root)
-        for i in range(10):
-            journal.transition(f"k{i}", "done")
-        assert service.run(exit_when_idle=True) == 0
-        assert service.journal.line_count() <= 8
-        # Accounting survived the fold.
-        assert service.journal.fold().totals["executions"] == 10
+        assert not _spooled(service)
+        entry = SweepJournal(service.cache_dir).outcomes()["garbage"]
+        assert entry.status == "failed"
+        assert "JSONDecodeError" in entry.error

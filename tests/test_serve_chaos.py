@@ -7,10 +7,10 @@ end against the real CLI in a subprocess:
 2. start the daemon and SIGKILL it twice mid-run,
 3. restart and SIGTERM-drain,
 4. assert every healthy spec completed with **zero duplicate
-   simulation executions** (per-key ``runs <= 1`` in the journal, which
-   survives compaction), the poison spec tripped its breaker without
-   stalling the queue, the compacted journal stayed bounded, and the
-   drain exited 0.
+   simulation executions** (per-key ``executions <= 1`` in the sweep
+   journal, cumulative over every daemon start), the poison spec was
+   parked in ``rejected/`` without stalling the healthy ones, the sweep
+   journal is the only journal, and the drain exited 0.
 """
 
 from __future__ import annotations
@@ -23,19 +23,13 @@ import time
 from pathlib import Path
 
 from repro import SystemConfig
-from repro.serve import ServiceJournal, submit_spec
+from repro.serve import submit_spec
 from repro.serve.status import read_status
-from repro.sweep import ExperimentSpec, ResultStore
+from repro.sweep import ExperimentSpec, ResultStore, SweepJournal
 from repro.workloads.trace import WorkloadScale
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TINY = WorkloadScale.tiny()
-
-#: Journal line bound the compacted log must stay under: the compaction
-#: threshold we run the daemon with, plus one batch of slack for the
-#: transitions appended since the last fold.
-COMPACT_EVERY = 20
-JOURNAL_BOUND = COMPACT_EVERY + 16
 
 
 def _spec(workload, scheme, **scheme_kwargs):
@@ -55,12 +49,8 @@ def _serve(root, *extra):
             sys.executable, "-m", "repro", "serve", "run",
             "--dir", str(root),
             "--slots", "2",
-            "--tick-s", "0.05",
             "--retries", "0",
             "--backoff-s", "0.01",
-            "--breaker-threshold", "2",
-            "--breaker-cooldown-s", "300",   # park poison for the test
-            "--compact-every", str(COMPACT_EVERY),
             *extra,
         ],
         env=env,
@@ -80,8 +70,8 @@ def _wait(predicate, timeout_s, what):
 
 def _done_keys(journal):
     return {
-        key for key, entry in journal.fold().entries.items()
-        if entry.state == "done"
+        key for key, entry in journal.outcomes().items()
+        if entry.succeeded
     }
 
 
@@ -114,8 +104,9 @@ def test_chaos_kill_twice_then_drain(tmp_path):
     poison = _spec("pr", "pipm", chaos_poison_marker=1)
     for spec in healthy + [poison]:
         submit_spec(root, spec)
-    journal = ServiceJournal(root)
+    journal = SweepJournal(root / "cache")
     healthy_keys = {spec.key() for spec in healthy}
+    parked = root / "rejected" / f"{poison.key()}.json"
 
     # Round 1: run until first blood, then SIGKILL.
     daemon = _serve(root)
@@ -130,7 +121,7 @@ def test_chaos_kill_twice_then_drain(tmp_path):
     # may already have everything — the kill must be safe regardless.
     daemon = _serve(root)
     try:
-        _wait(lambda: journal.fold().epoch >= 2, 60, "second epoch")
+        _wait_until_serving(root, daemon)
         time.sleep(1.0)
     finally:
         daemon.kill()
@@ -142,11 +133,7 @@ def test_chaos_kill_twice_then_drain(tmp_path):
         _wait_until_serving(root, daemon)
         _wait(lambda: healthy_keys <= _done_keys(journal), 180,
               "all healthy specs done")
-        _wait(
-            lambda: journal.fold().entries[poison.key()].state
-            == "quarantined",
-            120, "poison spec quarantined",
-        )
+        _wait(parked.exists, 120, "poison spec parked")
         daemon.send_signal(signal.SIGTERM)
         code = daemon.wait(60)
     finally:
@@ -155,42 +142,45 @@ def test_chaos_kill_twice_then_drain(tmp_path):
             daemon.wait(30)
     assert code == 0, daemon.stdout.read().decode()
 
-    view = journal.fold()
-    # Zero duplicate executions: the per-key run counters are
-    # cumulative across every epoch and survive compaction.
+    outcomes = journal.outcomes()
+    # Zero duplicate executions: the per-key execution counters are
+    # cumulative across every daemon start.
     for key in healthy_keys:
-        entry = view.entries[key]
-        assert entry.state == "done"
-        assert entry.runs <= 1, f"{key} executed {entry.runs} times"
-        assert entry.runs + entry.cache_hits >= 1
-    assert view.totals["executions"] == sum(
-        view.entries[key].runs for key in view.entries
-    )
+        entry = outcomes[key]
+        assert entry.succeeded
+        assert entry.executions <= 1, (
+            f"{key} executed {entry.executions} times"
+        )
+        assert entry.executions + entry.cache_hits >= 1
     store = ResultStore(root / "cache")
     assert healthy_keys <= set(store.keys())
     assert poison.key() not in store
 
-    # The poison spec is parked open, not hot-looping, not blocking.
-    bad = view.entries[poison.key()]
-    assert bad.state == "quarantined"
-    assert bad.opens >= 1
-    assert bad.failures >= 2
+    # The poison spec is parked, not hot-looping, not blocking, and its
+    # journalled error names what broke it.
+    assert parked.exists()
+    bad = outcomes[poison.key()]
+    assert not bad.succeeded
+    assert "chaos_poison_marker" in bad.error
 
-    # Compaction kept the journal bounded despite three epochs.
-    assert journal.line_count() < JOURNAL_BOUND
+    # The sweep journal is the only journal; there is no accept store.
+    assert list(root.rglob("*.jsonl")) == [journal.path]
+    assert not (root / "specs").exists()
 
     status = read_status(root)
     assert status.state == "drained"
-    assert status.queue_depth == 0 and status.in_flight == 0
+    assert status.spool_backlog == 0 and status.in_flight == 0
+    assert status.totals["executions"] == sum(
+        entry.executions for entry in outcomes.values()
+    )
 
 
 def test_status_cli_reports_dead_daemon(tmp_path):
     root = tmp_path / "svc"
     submit_spec(root, _spec("pr", "native"))
-    journal = ServiceJournal(root)
     daemon = _serve(root)
     try:
-        _wait(lambda: journal.fold().epoch >= 1, 60, "first epoch")
+        _wait_until_serving(root, daemon)
     finally:
         daemon.kill()
         daemon.wait(30)

@@ -292,7 +292,9 @@ class TestSweepJournal:
 
     def test_two_concurrent_invocations_interleave_cleanly(self, tmp_path):
         """Two writers on the same journal (O_APPEND, one write per
-        line) interleave without tearing, and the fold is last-wins."""
+        line) interleave without tearing, the fold is last-wins, and the
+        per-key execution and cache-hit counts accumulate over every
+        epoch and both writers (``sweep`` and ``serve`` share one)."""
         left = SweepJournal(tmp_path)
         right = SweepJournal(tmp_path)
         left.begin(2)
@@ -311,6 +313,29 @@ class TestSweepJournal:
         assert all(outcomes[f"l{i}"].succeeded for i in range(25))
         assert all(outcomes[f"r{i}"].succeeded for i in range(25))
         assert left.epochs() == 2
+        # Failed attempts count as neither; hits are not executions.
+        assert outcomes["shared"].executions == 0
+        assert outcomes["shared"].cache_hits == 25
+        assert outcomes["l0"].executions == 1
+        assert outcomes["l0"].cache_hits == 0
+        # A second epoch from each writer adds to the counts instead of
+        # restarting them.
+        left.begin(1)
+        left.record("shared", "pr/pipm", "retried", attempts=2)
+        right.begin(1)
+        right.record("shared", "pr/pipm", "ok", cache_hit=True)
+        right.record("l0", "pr/pipm", "ok")
+        left.record("l0", "pr/pipm", "timeout", error="slow")
+        outcomes = right.outcomes()
+        assert outcomes == left.outcomes()
+        assert left.epochs() == 4
+        shared = outcomes["shared"]
+        assert (shared.executions, shared.cache_hits) == (1, 26)
+        assert shared.cache_hit and shared.run == 4
+        l0 = outcomes["l0"]
+        assert l0.status == "timeout" and not l0.succeeded
+        assert (l0.executions, l0.cache_hits) == (2, 0)
+        assert outcomes["r0"].executions == 1
 
     def test_missing_journal_reads_empty(self, tmp_path):
         journal = SweepJournal(tmp_path / "nowhere")

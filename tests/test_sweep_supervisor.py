@@ -63,6 +63,17 @@ class TestPolicy:
         with pytest.raises(ValueError, match="backoff_s"):
             SupervisorPolicy(backoff_s=-0.1).validate()
 
+    def test_backoff_cap_and_jitter_validation(self):
+        with pytest.raises(ValueError, match="max_backoff_s"):
+            SupervisorPolicy(max_backoff_s=0.0).validate()
+        with pytest.raises(ValueError, match="max_backoff_s"):
+            SupervisorPolicy(max_backoff_s=-1.0).validate()
+        # Backoff is exact: jitter is no knob and no draw takes a token.
+        with pytest.raises(TypeError, match="jitter"):
+            SupervisorPolicy(jitter=0.2)
+        with pytest.raises(TypeError, match="token"):
+            SupervisorPolicy().backoff_for(2, token="job-a")
+
     def test_backoff_doubles_per_reattempt(self):
         policy = SupervisorPolicy(backoff_s=0.5)
         assert policy.backoff_for(2) == 0.5
@@ -78,36 +89,6 @@ class TestPolicy:
         # None disables the cap (the pre-existing unbounded behaviour).
         uncapped = SupervisorPolicy(backoff_s=0.5, max_backoff_s=None)
         assert uncapped.backoff_for(12) == 0.5 * 2 ** 10
-
-    def test_backoff_cap_and_jitter_validation(self):
-        with pytest.raises(ValueError, match="max_backoff_s"):
-            SupervisorPolicy(max_backoff_s=0.0).validate()
-        with pytest.raises(ValueError, match="jitter"):
-            SupervisorPolicy(jitter=1.0).validate()
-        with pytest.raises(ValueError, match="jitter"):
-            SupervisorPolicy(jitter=-0.1).validate()
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = SupervisorPolicy(backoff_s=1.0, jitter=0.5, jitter_seed=7)
-        delays = [policy.backoff_for(2, token="job-a") for _ in range(3)]
-        # Same (seed, token, attempt) always draws the same multiplier.
-        assert len(set(delays)) == 1
-        assert 0.5 <= delays[0] <= 1.5
-        # Different tokens decorrelate, so a retry storm spreads out.
-        others = {policy.backoff_for(2, token=f"job-{i}")
-                  for i in range(20)}
-        assert len(others) > 1
-        for delay in others:
-            assert 0.5 <= delay <= 1.5
-        # A different seed re-rolls every draw.
-        reseeded = SupervisorPolicy(
-            backoff_s=1.0, jitter=0.5, jitter_seed=8
-        )
-        assert reseeded.backoff_for(2, token="job-a") != delays[0]
-
-    def test_zero_jitter_stays_exact(self):
-        policy = SupervisorPolicy(backoff_s=0.5, jitter=0.0)
-        assert policy.backoff_for(3, token="anything") == 1.0
 
     def test_slots_validation(self):
         with pytest.raises(ValueError, match="slots"):
