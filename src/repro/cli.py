@@ -17,7 +17,7 @@ Commands
               microbench over the figure-matrix cases, optional cProfile,
               golden-record drift check)
 ``check``     model-check the coherence protocols (the Murphi step)
-``lint``      static determinism/unit lints + protocol-table analysis
+``lint``      static determinism and stats-discipline lints
 ``workloads`` print the Table 1 inventory
 ``config``    print the Table 2 system configuration
 """
@@ -121,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print the known variants and exit")
     sweep.add_argument(
         "--invalidate", action="store_true",
-        help="delete every cached result and trace, then exit",
+        help="delete every cached result and trace and the sweep "
+             "journal, then exit",
     )
     sweep.add_argument(
         "--require-all-hits", action="store_true",
@@ -286,13 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static determinism/unit lints + protocol-table analysis",
+        help="static determinism and stats-discipline lints",
         description=(
             "simcheck: AST lints for the determinism contract the result "
-            "cache depends on (wall clocks, unseeded RNG, set-order "
-            "iteration, unit and stats discipline) plus a static analyzer "
-            "for the coherence TRANSITION_TABLEs (exhaustiveness, "
-            "ambiguity, message closure, wait-for cycles)."
+            "cache depends on (wall clocks, unseeded RNG), stats "
+            "discipline (one key, one of counter or gauge) and dead "
+            "conditionals.  Protocol correctness is 'check', not lint."
         ),
     )
     from .simcheck.cli import add_lint_arguments
@@ -377,6 +377,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     from .sweep import (
         ResultStore,
+        SweepJournal,
         SweepRunner,
         TraceStore,
         VARIANTS,
@@ -393,8 +394,11 @@ def _cmd_sweep(args) -> int:
     if args.invalidate:
         results = ResultStore(cache_dir).clear()
         traces = TraceStore(cache_dir).clear()
-        print(f"invalidated {results} results, {traces} traces "
-              f"under {cache_dir}")
+        # The journal describes the results just deleted; left behind, a
+        # re-run would fold as a second execution of the same spec.
+        SweepJournal(cache_dir).clear()
+        print(f"invalidated {results} results, {traces} traces and the "
+              f"sweep journal under {cache_dir}")
         return 0
     scale_name = args.scale or os.environ.get("REPRO_BENCH_SCALE", "small")
     if scale_name not in _SCALES:

@@ -1,20 +1,18 @@
 """Coherence protocols: baseline CXL-DSM MESI and PIPM coherence.
 
-Two layers live here:
-
-* Pure, functional *protocol models* (:mod:`base_protocol`,
-  :mod:`pipm_protocol`) — small transition systems over one cache line
-  shared by N hosts, used by the explicit-state model checker
-  (:mod:`checker`) to verify SWMR, data-value integrity, and the absence
-  of stuck states (the paper's Murphi verification, Section 5.1.4).
-
-* State/encoding vocabulary (:mod:`states`, :mod:`messages`) shared with the
-  timing simulator in :mod:`repro.sim`.
+Pure, functional *protocol models* (:mod:`base_protocol`,
+:mod:`pipm_protocol`) — small transition systems over one cache line
+shared by N hosts — and the explicit-state model checker (:mod:`checker`)
+that explores them to verify SWMR, data-value integrity, and the absence
+of stuck states (the paper's Murphi verification, Section 5.1.4).  The
+model classes are the only statement of the transitions and the checker
+is the only protocol oracle.  :mod:`states` holds the Fig. 9 state
+encodings; the models use only its ``CacheState``.  The timing
+simulator does not run these models; the fault watchdog reuses only the
+checker's ``Violation`` record.
 """
 
 from .states import CacheState, MemBit, encode_local_state, encode_device_state
-from .messages import MessageType
-from .table import Emit, ProtocolTable, RoleSpec, Transition, Wait
 from .base_protocol import BaseCxlDsmModel
 from .pipm_protocol import PipmModel
 from .checker import CheckResult, ModelChecker
@@ -25,16 +23,10 @@ __all__ = [
     "verify_sequential_consistency",
     "CacheState",
     "MemBit",
-    "MessageType",
     "encode_local_state",
     "encode_device_state",
     "BaseCxlDsmModel",
     "PipmModel",
     "ModelChecker",
     "CheckResult",
-    "Emit",
-    "ProtocolTable",
-    "RoleSpec",
-    "Transition",
-    "Wait",
 ]

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from .messages import MessageType as _Msg
 from .states import CacheState
-from .table import ProtocolTable, RoleSpec, emit, illegal, t, wait
 
 # Per-host cached copy: (state, version). version is meaningful only when
 # state has a valid copy.
@@ -115,7 +113,6 @@ class BaseCxlDsmModel:
         if state.dir_state == _M:
             # Fetch from the owner (workflow steps 3-6 of Fig. 2): the owner
             # downgrades to S and the dirty data is written back.
-            # simcheck: handles device(M, rd_req) host(M, fwd_fetch)
             owner = state.dir_owner
             owner_version = caches[owner][1]
             caches[owner] = (_S, owner_version)
@@ -123,7 +120,6 @@ class BaseCxlDsmModel:
             data_version = owner_version
             sharers = {owner, host}
         else:
-            # simcheck: handles device(I, rd_req) device(S, rd_req)
             data_version = mem_version
             sharers.add(host)
         caches[host] = (_S, data_version)
@@ -140,8 +136,6 @@ class BaseCxlDsmModel:
         # A store folds the whole RFO exchange into one atomic step: the
         # writer acquires M and every other valid copy (and the S/M
         # directory side) observes its invalidation here.
-        # simcheck: handles device(I, rfo_req) device(S, rfo_req)
-        # simcheck: handles device(M, rfo_req) host(S, inv) host(M, fwd_inv)
         latest = self.latest_version(state)
         new_version = latest + 1
         caches = []
@@ -169,12 +163,10 @@ class BaseCxlDsmModel:
         mem_version = state.mem_version
         sharers = set(state.dir_sharers)
         if cache_state == _M:
-            # simcheck: handles device(M, wb)
             mem_version = version  # dirty writeback
             dir_state, dir_owner = _I, -1
             sharers = set()
         else:
-            # simcheck: handles device(S, sharer_drop)
             sharers.discard(host)
             if sharers:
                 dir_state, dir_owner = _S, -1
@@ -242,131 +234,3 @@ class BaseCxlDsmModel:
             (s, rank[v] if s != _I else 0) for s, v in state.caches
         )
         return state._replace(caches=caches, mem_version=rank[state.mem_version])
-
-
-# ---------------------------------------------------------------------------
-# Declarative transition table (statically analyzed by repro.simcheck).
-#
-# The "host" role is the per-host cache/local-directory FSM; the "device"
-# role is the device directory on the CXL memory node.  Events:
-#
-#   host:   local_load/local_store  - demand accesses from this host's cores
-#           evict                   - capacity/conflict eviction
-#           fwd_fetch/fwd_inv       - device-forwarded remote read / write
-#           inv                     - directory invalidation of a sharer
-#   device: rd_req/rfo_req          - RD_REQ / RFO_REQ arriving on the link
-#           wb                      - dirty writeback arriving
-#           sharer_drop             - a sharer's eviction notice (ACK flit)
-#
-# Every (state, event) pair is covered; stimuli the protocol can never
-# receive in a state are declared illegal so the exhaustiveness check in
-# `python -m repro lint` stays honest.  The executable model above is the
-# behavioural truth; tests/test_simcheck_protocol.py keeps this table
-# consistent with it.
-# ---------------------------------------------------------------------------
-
-TRANSITION_TABLE = ProtocolTable(
-    name="cxl-dsm-msi",
-    doc="Baseline multi-host CXL-DSM directory MSI (one line, N hosts).",
-    roles=(
-        RoleSpec(
-            "host",
-            states=("I", "S", "M"),
-            events=("local_load", "local_store", "evict",
-                    "fwd_fetch", "fwd_inv", "inv"),
-        ),
-        RoleSpec(
-            "device",
-            states=("I", "S", "M"),
-            events=("rd_req", "rfo_req", "wb", "sharer_drop"),
-        ),
-    ),
-    transitions=(
-        # -- host: I ----------------------------------------------------
-        t("host", "I", "local_load", "S",
-          emits=(emit(_Msg.RD_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device", "host"),)),
-        t("host", "I", "local_store", "M",
-          emits=(emit(_Msg.RFO_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device", "host"),)),
-        illegal("host", "I", "evict",
-                note="evicting an invalid line is never enabled"),
-        illegal("host", "I", "fwd_fetch",
-                note="the directory only forwards to the owner"),
-        illegal("host", "I", "fwd_inv",
-                note="the directory only forwards to the owner"),
-        illegal("host", "I", "inv",
-                note="the directory never invalidates a non-sharer"),
-        # -- host: S ----------------------------------------------------
-        t("host", "S", "local_load", "S", note="cache hit"),
-        t("host", "S", "local_store", "M",
-          emits=(emit(_Msg.RFO_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device"),),
-          note="upgrade; the directory invalidates the other sharers"),
-        t("host", "S", "evict", "I",
-          emits=(emit(_Msg.ACK, "device"),),
-          note="clean drop; header-flit notice keeps the sharer list exact"),
-        illegal("host", "S", "fwd_fetch",
-                note="reads of an S line are served from memory"),
-        illegal("host", "S", "fwd_inv",
-                note="sharers receive INV, never FWD"),
-        t("host", "S", "inv", "I",
-          consumes=(_Msg.INV,),
-          emits=(emit(_Msg.ACK, "device"),)),
-        # -- host: M ----------------------------------------------------
-        t("host", "M", "local_load", "M", note="cache hit"),
-        t("host", "M", "local_store", "M", note="cache hit"),
-        t("host", "M", "evict", "I",
-          emits=(emit(_Msg.WB, "device"),)),
-        t("host", "M", "fwd_fetch", "S",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.DATA, "host"), emit(_Msg.WB, "device")),
-          note="remote read: downgrade, cache-to-cache data, dirty WB"),
-        t("host", "M", "fwd_inv", "I",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.DATA, "host"),),
-          note="remote write: ownership transfers with the data"),
-        illegal("host", "M", "inv",
-                note="the owner receives FWD, never INV"),
-        # -- device: I --------------------------------------------------
-        t("device", "I", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        t("device", "I", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        illegal("device", "I", "wb",
-                note="no valid copy exists to write back"),
-        illegal("device", "I", "sharer_drop",
-                note="no sharer exists to drop"),
-        # -- device: S --------------------------------------------------
-        t("device", "S", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        t("device", "S", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.INV, "host"), emit(_Msg.DATA, "host")),
-          waits=(wait(_Msg.ACK, "host"),),
-          note="invalidate every sharer, collect acks, then grant"),
-        illegal("device", "S", "wb",
-                note="sharers hold clean data; transactions are atomic"),
-        t("device", "S", "sharer_drop", ("S", "I"),
-          consumes=(_Msg.ACK,),
-          note="last sharer leaving returns the directory to I"),
-        # -- device: M --------------------------------------------------
-        t("device", "M", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.FWD, "host"),),
-          waits=(wait(_Msg.WB, "host"),),
-          note="owner downgrades and writes back (Fig. 2 steps 3-6)"),
-        t("device", "M", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.FWD, "host"),),
-          note="ownership moves host-to-host; data travels with FWD reply"),
-        t("device", "M", "wb", "I",
-          consumes=(_Msg.WB,),
-          note="owner eviction; memory becomes current"),
-        illegal("device", "M", "sharer_drop",
-                note="an owned line has no sharers"),
-    ),
-)

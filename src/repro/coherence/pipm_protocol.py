@@ -28,10 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
-from .messages import MessageType as _Msg
 from .states import CacheState
 from .base_protocol import Action
-from .table import ProtocolTable, RoleSpec, emit, illegal, t, wait
 
 _I = int(CacheState.I)
 _S = int(CacheState.S)
@@ -158,7 +156,6 @@ class PipmModel:
         mem_version = state.mem_version
         sharers = set(state.dir_sharers)
         if state.dir_state == _M:
-            # simcheck: handles device(M, rd_req) host(M, fwd_fetch)
             owner = state.dir_owner
             owner_version = caches[owner][1]
             caches[owner] = (_S, owner_version)
@@ -166,7 +163,6 @@ class PipmModel:
             data_version = owner_version
             sharers = {owner, host}
         else:
-            # simcheck: handles device(I, rd_req) device(S, rd_req)
             data_version = mem_version
             sharers.add(host)
         caches[host] = (_S, data_version)
@@ -185,8 +181,6 @@ class PipmModel:
         # The atomic store transaction folds the whole RFO flow: the
         # device grants from any home directory state and every other
         # valid copy is invalidated (sharers via INV, an owner via FWD).
-        # simcheck: handles device(I, rfo_req) device(S, rfo_req)
-        # simcheck: handles device(M, rfo_req) host(S, inv) host(M, fwd_inv)
         new_version = latest + 1
         caches = tuple(
             (_M, new_version) if idx == host else (_I, 0)
@@ -207,9 +201,6 @@ class PipmModel:
         # device forwards to the remap host (whose copy is ME when
         # cached, I' when only in local memory) and the line migrates
         # back over the I_MIG directory entry.
-        # simcheck: handles device(I_MIG, rd_req) device(I_MIG, rfo_req)
-        # simcheck: handles host(ME, fwd_fetch) host(ME, fwd_inv)
-        # simcheck: handles host(I, fwd_fetch) host(I, fwd_inv)
         owner = self.remap_host
         owner_state, owner_version = state.caches[owner]
         caches = list(state.caches)
@@ -285,7 +276,6 @@ class PipmModel:
                 )
                 return new_state, {"migrated": True}
             # Standard dirty writeback to CXL memory.
-            # simcheck: handles device(M, wb)
             new_state = state._replace(
                 caches=tuple(caches),
                 dir_state=_I,
@@ -296,7 +286,6 @@ class PipmModel:
             return new_state, {}
 
         # S eviction.
-        # simcheck: handles device(S, sharer_drop)
         sharers = set(state.dir_sharers)
         sharers.discard(host)
         new_state = state._replace(
@@ -378,185 +367,3 @@ class PipmModel:
             mem_version=rank[state.mem_version],
             local_version=rank[state.local_version] if state.mem_bit else 0,
         )
-
-
-# ---------------------------------------------------------------------------
-# Declarative transition table (statically analyzed by repro.simcheck).
-#
-# Extends the baseline table with the two migrated encodings of Fig. 9:
-# ``ME`` at the remap host and ``I_MIG`` (I') at the device directory.
-# Guards split the stimuli whose handling depends on where the line
-# currently lives:
-#
-#   line_home           - the line's authoritative copy is in CXL memory
-#   line_migrated_here  - this host is the remap host and the in-memory
-#                         bit is set (the line lives in local DRAM)
-#   below_threshold / migrating - whether an M-line writeback performs
-#                         case 1's incremental migration
-#   data / bit_set      - whether an arriving WB carries the 64B line or
-#                         is the header-only in-memory-bit update
-#
-# The six Fig. 9 cases appear as notes on their rows.  The executable
-# model above remains the behavioural truth; tests keep the two in sync.
-# ---------------------------------------------------------------------------
-
-TRANSITION_TABLE = ProtocolTable(
-    name="pipm",
-    doc="PIPM coherence over one line of a partially migrated page.",
-    roles=(
-        RoleSpec(
-            "host",
-            states=("I", "S", "M", "ME"),
-            events=("local_load", "local_store", "evict",
-                    "fwd_fetch", "fwd_inv", "inv"),
-        ),
-        RoleSpec(
-            "device",
-            states=("I", "S", "M", "I_MIG"),
-            events=("rd_req", "rfo_req", "wb", "sharer_drop"),
-        ),
-    ),
-    transitions=(
-        # -- host: I ----------------------------------------------------
-        t("host", "I", "local_load", "S", guard="line_home",
-          emits=(emit(_Msg.RD_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device", "host"),)),
-        t("host", "I", "local_load", "ME", guard="line_migrated_here",
-          note="case 3: I' -> ME, served from local memory, no fabric"),
-        t("host", "I", "local_store", "M", guard="line_home",
-          emits=(emit(_Msg.RFO_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device", "host"),)),
-        t("host", "I", "local_store", "ME", guard="line_migrated_here",
-          note="case 3: I' -> ME, local write, no fabric"),
-        illegal("host", "I", "evict",
-                note="evicting an invalid line is never enabled"),
-        t("host", "I", "fwd_fetch", "I", guard="line_migrated_here",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.MIG_BACK, "device"),),
-          note="case 2: inter-host read of an I' line; the remap host "
-               "serves it from local memory and migrates the line back"),
-        illegal("host", "I", "fwd_fetch", guard="line_home",
-                note="the directory only forwards to a valid owner"),
-        t("host", "I", "fwd_inv", "I", guard="line_migrated_here",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.MIG_BACK, "device"),),
-          note="case 2: inter-host write of an I' line; migrate back"),
-        illegal("host", "I", "fwd_inv", guard="line_home",
-                note="the directory only forwards to a valid owner"),
-        illegal("host", "I", "inv",
-                note="the directory never invalidates a non-sharer"),
-        # -- host: S ----------------------------------------------------
-        t("host", "S", "local_load", "S", note="cache hit"),
-        t("host", "S", "local_store", "M",
-          emits=(emit(_Msg.RFO_REQ, "device"),),
-          waits=(wait(_Msg.DATA, "device"),),
-          note="upgrade; the directory invalidates the other sharers"),
-        t("host", "S", "evict", "I",
-          emits=(emit(_Msg.ACK, "device"),),
-          note="clean drop notice keeps the sharer list exact"),
-        illegal("host", "S", "fwd_fetch",
-                note="reads of an S line are served from memory"),
-        illegal("host", "S", "fwd_inv",
-                note="sharers receive INV, never FWD"),
-        t("host", "S", "inv", "I",
-          consumes=(_Msg.INV,),
-          emits=(emit(_Msg.ACK, "device"),)),
-        # -- host: M ----------------------------------------------------
-        t("host", "M", "local_load", "M", note="cache hit"),
-        t("host", "M", "local_store", "M", note="cache hit"),
-        t("host", "M", "evict", "I", guard="below_threshold",
-          emits=(emit(_Msg.WB, "device"),),
-          note="standard dirty writeback to CXL memory"),
-        t("host", "M", "evict", "I", guard="migrating",
-          emits=(emit(_Msg.WB, "device"),),
-          note="case 1: incremental migration — data goes to local "
-               "memory; the WB on the fabric is the header-only "
-               "in-memory-bit update (M -> I')"),
-        t("host", "M", "fwd_fetch", "S",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.DATA, "host"), emit(_Msg.WB, "device")),
-          note="remote read: downgrade, cache-to-cache data, dirty WB"),
-        t("host", "M", "fwd_inv", "I",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.DATA, "host"),),
-          note="remote write: ownership transfers with the data"),
-        illegal("host", "M", "inv",
-                note="the owner receives FWD, never INV"),
-        # -- host: ME ---------------------------------------------------
-        t("host", "ME", "local_load", "ME", note="case 3 fast path: hit"),
-        t("host", "ME", "local_store", "ME", note="case 3 fast path: hit"),
-        t("host", "ME", "evict", "I",
-          note="case 4: ME -> I'; dirty data written back to local "
-               "memory, no fabric traffic"),
-        t("host", "ME", "fwd_fetch", "S",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.MIG_BACK, "device"),),
-          note="case 5: inter-host read migrates the line back (ME -> S)"),
-        t("host", "ME", "fwd_inv", "I",
-          consumes=(_Msg.FWD,),
-          emits=(emit(_Msg.MIG_BACK, "device"),),
-          note="case 6: inter-host write migrates the line back (ME -> I)"),
-        illegal("host", "ME", "inv",
-                note="a migrated line has no other sharers to invalidate"),
-        # -- device: I --------------------------------------------------
-        t("device", "I", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        t("device", "I", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        illegal("device", "I", "wb",
-                note="no valid copy exists to write back"),
-        illegal("device", "I", "sharer_drop",
-                note="no sharer exists to drop"),
-        # -- device: S --------------------------------------------------
-        t("device", "S", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.DATA, "host"),)),
-        t("device", "S", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.INV, "host"), emit(_Msg.DATA, "host")),
-          waits=(wait(_Msg.ACK, "host"),),
-          note="invalidate every sharer, collect acks, then grant"),
-        illegal("device", "S", "wb",
-                note="sharers hold clean data; transactions are atomic"),
-        t("device", "S", "sharer_drop", ("S", "I"),
-          consumes=(_Msg.ACK,),
-          note="last sharer leaving returns the directory to I"),
-        # -- device: M --------------------------------------------------
-        t("device", "M", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.FWD, "host"),),
-          waits=(wait(_Msg.WB, "host"),),
-          note="owner downgrades and writes back"),
-        t("device", "M", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.FWD, "host"),),
-          note="ownership moves host-to-host"),
-        t("device", "M", "wb", "I", guard="data",
-          consumes=(_Msg.WB,),
-          note="owner eviction; CXL memory becomes current"),
-        t("device", "M", "wb", "I_MIG", guard="bit_set",
-          consumes=(_Msg.WB,),
-          note="case 1 completes: directory entry drops, in-memory bit "
-               "set in ECC spare bits (M -> I')"),
-        illegal("device", "M", "sharer_drop",
-                note="an owned line has no sharers"),
-        # -- device: I_MIG (I') -----------------------------------------
-        t("device", "I_MIG", "rd_req", "S",
-          consumes=(_Msg.RD_REQ,),
-          emits=(emit(_Msg.FWD, "host"), emit(_Msg.DATA, "host")),
-          waits=(wait(_Msg.MIG_BACK, "host"),),
-          note="cases 2/5: forward to the remap host, wait for the "
-               "migrate-back data, then answer the requester"),
-        t("device", "I_MIG", "rfo_req", "M",
-          consumes=(_Msg.RFO_REQ,),
-          emits=(emit(_Msg.FWD, "host"), emit(_Msg.DATA, "host")),
-          waits=(wait(_Msg.MIG_BACK, "host"),),
-          note="cases 2/6: migrate back, then grant ownership"),
-        illegal("device", "I_MIG", "wb",
-                note="while migrated, no host holds a CXL-backed copy"),
-        illegal("device", "I_MIG", "sharer_drop",
-                note="a migrated line has no device-tracked sharers"),
-    ),
-)

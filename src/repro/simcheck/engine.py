@@ -1,10 +1,10 @@
-"""The AST lint engine: rule registry, file walking, suppressions, scopes.
+"""The AST lint engine: rule registry, file walking, scopes.
 
 Rules are small visitor-style objects registered by module import (see
 :mod:`repro.simcheck.rules`).  The engine parses each target file once,
-hands every applicable rule a shared :class:`FileContext`, filters
-``# simcheck: ignore[RULE]`` suppressions, and returns raw findings; the
-CLI layers the baseline on top (:mod:`repro.simcheck.baseline`).
+hands every applicable rule a shared :class:`FileContext`, and returns
+the findings.  Every finding fails the run: a false positive is fixed in
+the rule that raised it, not silenced at the call site.
 
 Scopes
 ------
@@ -20,60 +20,38 @@ it.  ``src`` is the only scope linted by default — ``benchmarks`` and
 from __future__ import annotations
 
 import ast
-import io
 import os
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .findings import Finding, source_line
+from .findings import Finding, LintReport
 
 SCOPES = ("src", "benchmarks", "tests")
-
-#: ``# simcheck: ignore`` or ``# simcheck: ignore[DET001, ORD001]``
-_SUPPRESS_RE = re.compile(
-    r"#\s*simcheck:\s*ignore(?:-file)?(?:\[([A-Za-z0-9_,\s]+)\])?"
-)
-_SUPPRESS_FILE_RE = re.compile(
-    r"#\s*simcheck:\s*ignore-file(?:\[([A-Za-z0-9_,\s]+)\])?"
-)
-
-#: Sentinel meaning "every rule" in a suppression set.
-ALL_RULES = "*"
 
 
 @dataclass
 class FileContext:
     """Everything a rule needs to inspect one file (parsed once)."""
 
-    path: str  # absolute
     relpath: str  # repo-relative, '/'-separated
     scope: str
-    source: str
     tree: ast.AST
-    lines: List[str] = field(default_factory=list)
 
-    def finding(
-        self, rule: str, node, message: str, severity: str = "error"
-    ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
+    def finding(self, rule: str, node, message: str) -> Finding:
         return Finding(
             rule=rule,
             path=self.relpath,
-            line=lineno,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity,
-            line_text=source_line(self.lines, lineno),
         )
 
 
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``id`` (stable, referenced by suppressions and the
-    baseline), ``title``, and ``scopes``, and implement :meth:`check`.
+    Subclasses set ``id`` (stable, unique), ``title``, and ``scopes``,
+    and implement :meth:`check`.
     """
 
     id: str = ""
@@ -82,10 +60,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Path-level opt-in hook (e.g. unit rules only watch mem/)."""
-        return True
 
 
 REGISTRY: Dict[str, Rule] = {}
@@ -113,202 +87,6 @@ def classify_scope(relpath: str) -> str:
     if "benchmarks" in parts:
         return "benchmarks"
     return "src"
-
-
-def parse_suppressions(
-    lines: List[str],
-) -> Tuple[Dict[int, Set[str]], Set[str]]:
-    """Per-line and file-level suppression sets from magic comments.
-
-    Returns ``(by_line, file_level)``; sets contain rule IDs or
-    :data:`ALL_RULES`.  A bare ``ignore`` suppresses every rule on its
-    line; ``ignore-file`` (anywhere in the first five lines) suppresses
-    for the whole file.
-    """
-    by_line: Dict[int, Set[str]] = {}
-    file_level: Set[str] = set()
-    for lineno, text in enumerate(lines, start=1):
-        if "simcheck" not in text:
-            continue
-        file_match = _SUPPRESS_FILE_RE.search(text)
-        if file_match and lineno <= 5:
-            rules = file_match.group(1)
-            if rules:
-                file_level.update(
-                    r.strip() for r in rules.split(",") if r.strip()
-                )
-            else:
-                file_level.add(ALL_RULES)
-            continue
-        match = _SUPPRESS_RE.search(text)
-        if not match:
-            continue
-        rules = match.group(1)
-        entry = by_line.setdefault(lineno, set())
-        if rules:
-            entry.update(r.strip() for r in rules.split(",") if r.strip())
-        else:
-            entry.add(ALL_RULES)
-    return by_line, file_level
-
-
-def is_suppressed(
-    finding: Finding,
-    by_line: Dict[int, Set[str]],
-    file_level: Set[str],
-) -> bool:
-    if ALL_RULES in file_level or finding.rule in file_level:
-        return True
-    rules = by_line.get(finding.line)
-    return rules is not None and (
-        ALL_RULES in rules or finding.rule in rules
-    )
-
-
-@dataclass
-class Pragma:
-    """One suppression the source claims to need."""
-
-    line: int  # line the pragma sits on (file-level pragmas included)
-    rule: str  # rule ID or ALL_RULES
-    file_level: bool
-    used: int = 0
-
-
-def _pragma_comments(lines: List[str]) -> Dict[int, str]:
-    """Line -> real COMMENT token text, for lines mentioning simcheck.
-
-    Tokenizing (rather than grepping lines) keeps pragma syntax *quoted*
-    in docstrings and string literals — as this module's own docs do —
-    from being reported as stale suppressions.  Falls back to raw lines
-    if the source does not tokenize.
-    """
-    source = "\n".join(lines)
-    out: Dict[int, str] = {}
-    try:
-        tokens = list(
-            tokenize.generate_tokens(io.StringIO(source).readline)
-        )
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return {
-            lineno: text
-            for lineno, text in enumerate(lines, start=1)
-            if "simcheck" in text
-        }
-    for tok in tokens:
-        if tok.type == tokenize.COMMENT and "simcheck" in tok.string:
-            out[tok.start[0]] = tok.string
-    return out
-
-
-def _quoted(text: str, idx: int) -> bool:
-    """Whether the ``#`` at ``idx`` sits inside quoted example text."""
-    return idx > 0 and text[idx - 1] in "`'\""
-
-
-class SuppressionTracker:
-    """Suppression filtering that remembers which pragmas fired.
-
-    Wraps :func:`parse_suppressions` / :func:`is_suppressed` and counts,
-    per pragma, how many findings it hid — so the engine can report the
-    stale ones (``SUPP001``): a suppression whose rule no longer fires
-    is a claim about the code that stopped being true.
-    """
-
-    def __init__(self, lines: List[str]) -> None:
-        self.by_line, self.file_level = parse_suppressions(lines)
-        self.pragmas: List[Pragma] = []
-        for lineno, text in sorted(_pragma_comments(lines).items()):
-            file_match = _SUPPRESS_FILE_RE.search(text)
-            if (
-                file_match
-                and lineno <= 5
-                and not _quoted(text, file_match.start())
-            ):
-                rules = file_match.group(1)
-                names = (
-                    [r.strip() for r in rules.split(",") if r.strip()]
-                    if rules
-                    else [ALL_RULES]
-                )
-                for name in names:
-                    self.pragmas.append(Pragma(lineno, name, True))
-                continue
-            match = _SUPPRESS_RE.search(text)
-            if not match or _quoted(text, match.start()):
-                continue
-            rules = match.group(1)
-            names = (
-                [r.strip() for r in rules.split(",") if r.strip()]
-                if rules
-                else [ALL_RULES]
-            )
-            for name in names:
-                self.pragmas.append(Pragma(lineno, name, False))
-
-    def suppresses(self, finding: Finding) -> bool:
-        """:func:`is_suppressed`, but records which pragma absorbed it."""
-        if not is_suppressed(finding, self.by_line, self.file_level):
-            return False
-        for pragma in self.pragmas:
-            if pragma.rule not in (finding.rule, ALL_RULES):
-                continue
-            if pragma.file_level or pragma.line == finding.line:
-                pragma.used += 1
-                break
-        return True
-
-    def unused(self, rules_run: Set[str]) -> Iterator[Pragma]:
-        """Pragmas that hid nothing.
-
-        A pragma naming a real rule is only reported when that rule ran
-        (a golden test linting with a rule subset shouldn't flag the
-        others' pragmas as stale); unknown rule IDs are always reported
-        — they can never fire.
-        """
-        for pragma in self.pragmas:
-            if pragma.used:
-                continue
-            known = pragma.rule in REGISTRY
-            if pragma.rule == ALL_RULES or not known or pragma.rule in rules_run:
-                yield pragma
-
-
-def unused_pragma_findings(
-    tracker: SuppressionTracker,
-    relpath: str,
-    lines: List[str],
-    rules_run: Set[str],
-) -> List[Finding]:
-    """Info-severity SUPP001 notes for stale/unknown suppressions."""
-    findings: List[Finding] = []
-    for pragma in tracker.unused(rules_run):
-        if pragma.rule != ALL_RULES and pragma.rule not in REGISTRY:
-            message = (
-                f"suppression names unknown rule {pragma.rule!r}; it can "
-                f"never fire — fix the ID or delete the pragma"
-            )
-        else:
-            what = (
-                "every rule" if pragma.rule == ALL_RULES else pragma.rule
-            )
-            where = "file-level " if pragma.file_level else ""
-            message = (
-                f"unused {where}suppression of {what}: nothing fires "
-                f"here anymore — delete the pragma so real findings "
-                f"can't hide behind it"
-            )
-        findings.append(
-            Finding(
-                rule="SUPP001",
-                path=relpath,
-                line=pragma.line,
-                message=message,
-                severity="info",
-                line_text=source_line(lines, pragma.line),
-            )
-        )
-    return findings
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -343,13 +121,12 @@ def relativize(path: str, root: Optional[str] = None) -> str:
     return rel.replace(os.sep, "/")
 
 
-@dataclass
-class EngineResult:
-    """Raw engine output, before baseline filtering."""
-
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    files_checked: int = 0
+def _check(ctx: FileContext, rules: Iterable[Rule]) -> List[Finding]:
+    findings: List[Finding] = []
+    for rule in rules:
+        if ctx.scope in rule.scopes:
+            findings.extend(rule.check(ctx))
+    return findings
 
 
 class LintEngine:
@@ -370,67 +147,38 @@ class LintEngine:
         self.rules = list(rules) if rules is not None else all_rules()
         self.root = root or os.getcwd()
 
-    def lint_file(self, path: str) -> Tuple[List[Finding], int, bool]:
-        """Findings, suppression count, and whether the file was in scope."""
+    def lint_file(self, path: str) -> Tuple[List[Finding], bool]:
+        """Findings, and whether the file was in scope."""
         relpath = relativize(path, self.root)
         scope = classify_scope(relpath)
         if scope not in self.scopes:
-            return [], 0, False
+            return [], False
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        lines = source.splitlines()
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            return (
-                [
-                    Finding(
-                        rule="SYNTAX",
-                        path=relpath,
-                        line=exc.lineno or 1,
-                        col=(exc.offset or 1) - 1,
-                        message=f"file does not parse: {exc.msg}",
-                        line_text=source_line(lines, exc.lineno or 1),
-                    )
-                ],
-                0,
-                True,
-            )
-        ctx = FileContext(
-            path=path,
-            relpath=relpath,
-            scope=scope,
-            source=source,
-            tree=tree,
-            lines=lines,
-        )
-        tracker = SuppressionTracker(lines)
-        findings: List[Finding] = []
-        suppressed = 0
-        rules_run: Set[str] = set()
-        for rule in self.rules:
-            if scope not in rule.scopes or not rule.applies_to(ctx):
-                continue
-            rules_run.add(rule.id)
-            for finding in rule.check(ctx):
-                if tracker.suppresses(finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-        findings.extend(
-            unused_pragma_findings(tracker, relpath, lines, rules_run)
-        )
-        return findings, suppressed, True
+            return [
+                Finding(
+                    rule="SYNTAX",
+                    path=relpath,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    message=f"file does not parse: {exc.msg}",
+                )
+            ], True
+        ctx = FileContext(relpath=relpath, scope=scope, tree=tree)
+        return _check(ctx, self.rules), True
 
-    def run(self, paths: Iterable[str]) -> EngineResult:
-        result = EngineResult()
+    def run(self, paths: Iterable[str]) -> LintReport:
+        report = LintReport()
         for path in iter_python_files(paths):
-            findings, suppressed, checked = self.lint_file(path)
-            result.findings.extend(findings)
-            result.suppressed += suppressed
+            findings, checked = self.lint_file(path)
+            report.findings.extend(findings)
             if checked:
-                result.files_checked += 1
-        return result
+                report.files_checked += 1
+        report.sort()
+        return report
 
 
 def lint_source(
@@ -440,27 +188,11 @@ def lint_source(
     scope: Optional[str] = None,
 ) -> List[Finding]:
     """Lint a source string — the golden-test entry point."""
-    lines = source.splitlines()
     ctx = FileContext(
-        path=relpath,
         relpath=relpath,
         scope=scope or classify_scope(relpath),
-        source=source,
         tree=ast.parse(source),
-        lines=lines,
     )
-    tracker = SuppressionTracker(lines)
-    findings: List[Finding] = []
-    rules_run: Set[str] = set()
-    for rule in (list(rules) if rules is not None else all_rules()):
-        if ctx.scope not in rule.scopes or not rule.applies_to(ctx):
-            continue
-        rules_run.add(rule.id)
-        for finding in rule.check(ctx):
-            if not tracker.suppresses(finding):
-                findings.append(finding)
-    findings.extend(
-        unused_pragma_findings(tracker, relpath, lines, rules_run)
-    )
+    findings = _check(ctx, rules if rules is not None else all_rules())
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings

@@ -1,22 +1,14 @@
-"""Finding records shared by the AST lint engine and the protocol analyzer.
+"""Finding records produced by the AST lint engine.
 
-A finding pins a rule violation to a file and line.  Findings carry a
-*fingerprint* — stable under unrelated edits (it hashes the offending
-line's text, not its number) — which is what the committed baseline file
-stores so the CI job fails only on regressions, never on grandfathered
-debt.
+A finding pins a rule violation to a file and line.  Every finding is an
+error that fails the run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-#: Severities, in increasing order of consequence.  ``info`` findings are
-#: advisory (printed, never fail the run); ``error`` findings fail it.
-SEVERITIES = ("info", "error")
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -27,29 +19,10 @@ class Finding:
     path: str  # repo-relative, '/'-separated
     line: int
     message: str
-    severity: str = "error"
     col: int = 0
-    line_text: str = ""  # stripped source of the offending line
-
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
-
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline: rule + file + line content.
-
-        Line *numbers* are deliberately excluded so unrelated edits above
-        a grandfathered finding do not resurrect it.
-        """
-        basis = self.line_text.strip() or f"#L{self.line}:{self.message}"
-        digest = hashlib.sha1(basis.encode("utf-8")).hexdigest()[:12]
-        return f"{self.rule}::{self.path}::{digest}"
 
     def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity}] {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -57,33 +30,20 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "col": self.col,
-            "severity": self.severity,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
 
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced, post-baseline."""
+    """Everything one lint run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    grandfathered: int = 0  # baseline-suppressed findings
-    suppressed: int = 0  # comment-suppressed findings
     files_checked: int = 0
-    tables_checked: int = 0
-
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "error"]
-
-    @property
-    def infos(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity == "info"]
 
     @property
     def ok(self) -> bool:
-        return not self.errors
+        return not self.findings
 
     def sort(self) -> None:
         self.findings.sort(
@@ -94,52 +54,14 @@ class LintReport:
         return json.dumps(
             {
                 "files_checked": self.files_checked,
-                "tables_checked": self.tables_checked,
-                "grandfathered": self.grandfathered,
-                "suppressed": self.suppressed,
-                "errors": len(self.errors),
+                "errors": len(self.findings),
                 "findings": [f.to_dict() for f in self.findings],
             },
             indent=2,
         )
 
     def summary(self) -> str:
-        parts = [
-            f"{self.files_checked} files",
-            f"{self.tables_checked} protocol tables",
-            f"{len(self.errors)} error(s)",
-            f"{len(self.infos)} note(s)",
-        ]
-        if self.grandfathered:
-            parts.append(f"{self.grandfathered} baselined")
-        if self.suppressed:
-            parts.append(f"{self.suppressed} suppressed")
-        return "simcheck: " + ", ".join(parts)
-
-
-def source_line(lines: List[str], lineno: int) -> str:
-    """The 1-indexed line's text, or '' when out of range."""
-    if 1 <= lineno <= len(lines):
-        return lines[lineno - 1]
-    return ""
-
-
-def finding_for_node(
-    rule: str,
-    ctx,
-    node,
-    message: str,
-    severity: str = "error",
-) -> Finding:
-    """Build a finding anchored at an AST node of ``ctx``'s file."""
-    lineno = getattr(node, "lineno", 1)
-    col = getattr(node, "col_offset", 0)
-    return Finding(
-        rule=rule,
-        path=ctx.relpath,
-        line=lineno,
-        col=col,
-        message=message,
-        severity=severity,
-        line_text=source_line(ctx.lines, lineno),
-    )
+        return (
+            f"simcheck: {self.files_checked} files, "
+            f"{len(self.findings)} error(s)"
+        )

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.sweep.journal import JOURNAL_NAME, SweepJournal
+
+from .test_coherence_checker import _BuggyModel
 
 
 class TestCliCommands:
@@ -23,6 +26,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_check_fails_on_a_broken_model(self, capsys, monkeypatch):
+        # `check` is the CLI's only protocol gate: a model whose store
+        # leaves the other copies valid must turn it red.
+        monkeypatch.setattr("repro.cli.BaseCxlDsmModel", _BuggyModel)
+        assert main(["check", "--hosts", "2"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_run(self, capsys):
         code = main([
@@ -113,8 +123,14 @@ class TestCliCommands:
         # ...and --require-all-hits must fail once the cache is gone.
         assert main(["sweep", "--invalidate",
                      "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
+        assert "sweep journal" in capsys.readouterr().out
+        assert not (tmp_path / JOURNAL_NAME).exists()
         assert main(argv + ["--require-all-hits"]) == 1
+        # The journal went with the results, so the re-run is each
+        # spec's first execution, not its second.
+        outcomes = SweepJournal(tmp_path).outcomes()
+        assert len(outcomes) == 2
+        assert all(entry.executions == 1 for entry in outcomes.values())
 
     def test_sweep_failure_reporting_and_strict(self, capsys, tmp_path,
                                                 monkeypatch):
@@ -173,7 +189,6 @@ class TestCliCommands:
         assert main(["lint", "src/repro"]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
-        assert "2 protocol tables" in out
 
     def test_lint_json_output(self, capsys):
         import json
@@ -181,50 +196,28 @@ class TestCliCommands:
         assert main(["lint", "src/repro", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 0
-        assert payload["tables_checked"] == 2
-        assert all("fingerprint" in f for f in payload["findings"])
+        assert payload["findings"] == []
+        assert payload["files_checked"] > 0
 
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "ORD001", "UNIT001", "STAT001",
-                        "STAT003", "MUT001", "PROTO001", "PROTO004"):
+        for rule_id in ("DET001", "DET002", "STAT001", "STAT003",
+                        "CON001"):
             assert rule_id in out
+        for family in ("PROTO", "UNIT", "MUT", "SUPP", "ORD", "ROB"):
+            assert family not in out
 
     def test_lint_flags_fresh_findings(self, capsys, tmp_path):
         bad = tmp_path / "src" / "repro_like.py"
         bad.parent.mkdir()
         bad.write_text("import time\nstamp = time.time()\n")
-        assert main(["lint", str(bad), "--no-baseline"]) == 1
+        assert main(["lint", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out
 
     def test_lint_missing_path(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2
-
-    def test_lint_write_and_use_baseline(self, capsys, tmp_path):
-        bad = tmp_path / "src" / "legacy.py"
-        bad.parent.mkdir()
-        bad.write_text("import random\nx = random.random()\n")
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline),
-            "--write-baseline",
-        ]) == 0
-        capsys.readouterr()
-        # Grandfathered: the same debt no longer fails the run...
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline),
-        ]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but a new finding alongside it still does.
-        bad.write_text(
-            "import random\nx = random.random()\ny = random.randint(0, 3)\n"
-        )
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline),
-        ]) == 1
-        assert "randint" in capsys.readouterr().out
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

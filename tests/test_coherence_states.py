@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.coherence.messages import MessageType
 from repro.coherence.states import (
     CacheState,
     MemBit,
@@ -68,16 +67,3 @@ class TestDeviceEncoding:
     def test_msi_pass_through(self):
         for state in (CacheState.M, CacheState.S, CacheState.I):
             assert encode_device_state(state, MemBit.HOME) is state
-
-
-class TestMessages:
-    def test_data_carrying(self):
-        assert MessageType.DATA.carries_data
-        assert MessageType.WB.carries_data
-        assert MessageType.MIG_BACK.carries_data
-        assert not MessageType.RD_REQ.carries_data
-        assert not MessageType.INV.carries_data
-
-    def test_sizes(self):
-        assert MessageType.DATA.size_bytes == 64
-        assert MessageType.RD_REQ.size_bytes == 16
