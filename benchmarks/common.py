@@ -33,9 +33,7 @@ from repro.sweep import (
     ALL_SCHEMES,
     SENSITIVITY_WORKLOADS,
     ExperimentSpec,
-    ResultStore,
     TraceStore,
-    content_key,
     run_spec,
 )
 
@@ -45,27 +43,22 @@ CACHE_DIR = Path(os.environ.get("REPRO_CACHE_DIR", BENCH_DIR / ".cache"))
 
 __all__ = [
     "ALL_SCHEMES", "SENSITIVITY_WORKLOADS", "BENCH_DIR", "RESULTS_DIR",
-    "CACHE_DIR", "ResultCache", "bench_scale", "bench_scale_name",
-    "bench_workloads", "run_cached", "write_output",
+    "CACHE_DIR", "bench_scale", "bench_scale_name", "bench_workloads",
+    "run_cached", "write_output",
 ]
-
-_SCALES = {
-    "tiny": WorkloadScale.tiny,
-    "small": WorkloadScale.small,
-    "default": WorkloadScale.default,
-    "large": WorkloadScale.large,
-}
 
 
 def bench_scale_name() -> str:
     name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    if name not in _SCALES:
-        raise ValueError(f"REPRO_BENCH_SCALE must be one of {sorted(_SCALES)}")
+    if name not in WorkloadScale.NAMES:
+        raise ValueError(
+            f"REPRO_BENCH_SCALE must be one of {list(WorkloadScale.NAMES)}"
+        )
     return name
 
 
 def bench_scale() -> WorkloadScale:
-    return _SCALES[bench_scale_name()]()
+    return WorkloadScale.named(bench_scale_name())
 
 
 def bench_workloads() -> List[str]:
@@ -75,54 +68,6 @@ def bench_workloads() -> List[str]:
     from repro import workload_names
 
     return workload_names()
-
-
-# ----------------------------------------------------------------------
-# Result cache
-# ----------------------------------------------------------------------
-def _to_record(result: SimulationResult) -> Dict:
-    """Kept for callers/tests; delegates to the canonical serializer."""
-    return result.to_record()
-
-
-def _from_record(record: Dict) -> SimulationResult:
-    return SimulationResult.from_record(record)
-
-
-class ResultCache:
-    """Disk-backed memo of simulation results under arbitrary string keys.
-
-    Legacy interface kept for ad-hoc memoization; entries now live as
-    one atomically-replaced file per key (hashed filename) instead of a
-    single JSON blob, so concurrent writers can no longer lose each
-    other's entries or corrupt the cache, and nothing is snapshotted at
-    import time.
-    """
-
-    def __init__(self, path: Path = CACHE_DIR) -> None:
-        # ``path`` historically named a .json blob; treat a file path as
-        # its parent directory so stale call sites keep working.
-        path = Path(path)
-        if path.suffix == ".json":
-            path = path.parent / ".cache"
-        self.path = path
-        self._store = ResultStore(path)
-
-    @staticmethod
-    def _file_key(key: str) -> str:
-        return content_key({"legacy_key": key})
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        entry = self._store.get_record(self._file_key(key))
-        if entry is None or "result" not in entry:
-            return None
-        return SimulationResult.from_record(entry["result"])
-
-    def put(self, key: str, result: SimulationResult) -> None:
-        self._store.put_record(
-            self._file_key(key),
-            {"legacy_key": key, "result": result.to_record()},
-        )
 
 
 def run_cached(

@@ -24,7 +24,7 @@ def main() -> None:
     parser.add_argument("--scale", default="small",
                         choices=["tiny", "small", "default"])
     args = parser.parse_args()
-    scale = getattr(WorkloadScale, args.scale)()
+    scale = WorkloadScale.named(args.scale)
     config = SystemConfig.scaled()
 
     series = {}

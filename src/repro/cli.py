@@ -13,9 +13,6 @@ Commands
               SIGTERM
 ``soak``      randomized chaos testing under the fail-fast invariant
               watchdog, with failing-schedule minimization
-``profile``   time the per-access hot path (deterministic accesses/sec
-              microbench over the figure-matrix cases, optional cProfile,
-              golden-record drift check)
 ``check``     model-check the coherence protocols (the Murphi step)
 ``lint``      static determinism and stats-discipline lints
 ``workloads`` print the Table 1 inventory
@@ -39,8 +36,6 @@ from .units import pretty_size, pretty_time
 from .workloads import WorkloadScale, workload_names
 from .workloads.registry import WORKLOADS
 
-_SCALES = ("tiny", "small", "default", "large")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one workload under one scheme")
     run.add_argument("--workload", required=True, choices=workload_names())
     run.add_argument("--scheme", default="pipm")
-    run.add_argument("--scale", default="small", choices=_SCALES)
+    run.add_argument("--scale", default="small",
+                     choices=WorkloadScale.NAMES)
     run.add_argument("--hosts", type=int, default=4)
     run.add_argument("--link-latency-ns", type=float, default=None)
     run.add_argument("--link-bandwidth-gbs", type=float, default=None)
@@ -74,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workload", required=True,
                          choices=workload_names())
     compare.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES))
-    compare.add_argument("--scale", default="small", choices=_SCALES)
+    compare.add_argument("--scale", default="small",
+                         choices=WorkloadScale.NAMES)
     compare.add_argument("--hosts", type=int, default=4)
     compare.add_argument("--faults", default=None, metavar="SPEC",
                          help="fault-injection spec (see 'run --faults')")
@@ -99,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "$REPRO_BENCH_WORKLOADS)")
     sweep.add_argument("--schemes", default=",".join(DEFAULT_SCHEMES))
     sweep.add_argument(
-        "--scale", default=None, choices=_SCALES,
+        "--scale", default=None, choices=WorkloadScale.NAMES,
         help="trace scale (default: $REPRO_BENCH_SCALE or 'small')",
     )
     sweep.add_argument(
@@ -232,56 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "and its reproducer replay-verified (pipeline self-test)",
     )
 
-    profile = sub.add_parser(
-        "profile",
-        help="time the per-access hot path (microbench + cProfile)",
-        description=(
-            "Run the deterministic core-speed microbench: generate the "
-            "figure-matrix cases once (untimed), time SimulationEngine.run "
-            "for each, and report accesses/sec against the committed "
-            "baseline in benchmarks/results/BENCH_core.json.  "
-            "--check-golden compares every SimulationResult record against "
-            "the committed golden file and exits non-zero on any drift "
-            "(the CI perf-safety net)."
-        ),
-    )
-    profile.add_argument("--scale", default="small", choices=_SCALES)
-    profile.add_argument("--hosts", type=int, default=4)
-    profile.add_argument(
-        "--no-fast-lane", dest="fast_lane", action="store_false",
-        help="time the engine with every host's fast lane off, so every "
-             "access takes the serialized slow path (the reference)",
-    )
-    profile.add_argument(
-        "--repeats", type=int, default=1,
-        help="fresh engine runs per case; the fastest is reported",
-    )
-    profile.add_argument(
-        "--cases", default=None, metavar="W:S,...",
-        help="workload:scheme pairs to time (default: pr:pipm, "
-             "pr:native, ycsb:memtis)",
-    )
-    profile.add_argument(
-        "--cprofile", action="store_true",
-        help="run the timed region under cProfile and print the top "
-             "functions by cumulative time",
-    )
-    profile.add_argument("--top", type=int, default=25,
-                         help="rows of cProfile output (default: 25)")
-    profile.add_argument(
-        "--baseline", default="benchmarks/results/BENCH_core.json",
-        help="bench-trajectory file to compare against",
-    )
-    profile.add_argument(
-        "--check-golden", default=None, metavar="FILE",
-        help="fail unless every case's SimulationResult record matches "
-             "this golden file byte-for-byte",
-    )
-    profile.add_argument(
-        "--write-golden", default=None, metavar="FILE",
-        help="(re)write the golden record file from this run",
-    )
-
     check = sub.add_parser("check", help="model-check the protocols")
     check.add_argument("--hosts", type=int, default=3)
 
@@ -328,7 +275,7 @@ def _config_for(args) -> SystemConfig:
 
 def _cmd_run(args) -> int:
     cfg = _config_for(args)
-    scale = getattr(WorkloadScale, args.scale)()
+    scale = WorkloadScale.named(args.scale)
     result = run_experiment(args.workload, args.scheme, cfg, scale=scale)
     print(result.summary())
     print(f"  exec time        : {pretty_time(result.exec_time_ns)}")
@@ -347,7 +294,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _config_for(args)
-    scale = getattr(WorkloadScale, args.scale)()
+    scale = WorkloadScale.named(args.scale)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if "native" not in schemes:
         schemes.insert(0, "native")
@@ -401,10 +348,11 @@ def _cmd_sweep(args) -> int:
               f"sweep journal under {cache_dir}")
         return 0
     scale_name = args.scale or os.environ.get("REPRO_BENCH_SCALE", "small")
-    if scale_name not in _SCALES:
-        print(f"error: unknown scale {scale_name!r}", file=sys.stderr)
+    try:
+        scale = WorkloadScale.named(scale_name)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    scale = getattr(WorkloadScale, scale_name)()
     if args.workloads:
         workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     elif os.environ.get("REPRO_BENCH_WORKLOADS"):
@@ -565,82 +513,6 @@ def _cmd_soak(args) -> int:
     return 2
 
 
-def _cmd_profile(args) -> int:
-    import cProfile
-    import json
-
-    from .sim.profile import (
-        PROFILE_CASES,
-        compare_records,
-        load_golden,
-        profile_report,
-        run_microbench,
-        write_golden,
-    )
-
-    if args.cases:
-        try:
-            cases = [
-                tuple(pair.split(":", 1))
-                for pair in args.cases.split(",")
-                if pair.strip()
-            ]
-        except ValueError:
-            print("error: --cases wants workload:scheme pairs",
-                  file=sys.stderr)
-            return 2
-    else:
-        cases = list(PROFILE_CASES)
-    cfg = SystemConfig.scaled(num_hosts=args.hosts)
-    profiler = cProfile.Profile() if args.cprofile else None
-    print(f"profile: {len(cases)} case(s), scale {args.scale}, "
-          f"{args.hosts} hosts, {args.repeats} repeat(s), "
-          f"fast lane {'on' if args.fast_lane else 'off'}")
-    result = run_microbench(
-        scale=args.scale, cases=cases, config=cfg,
-        repeats=args.repeats, profiler=profiler, fast_lane=args.fast_lane,
-    )
-    for case in result.cases:
-        print(f"  {case.key:<16} {case.accesses:>9} accesses  "
-              f"{case.wall_s:>7.2f}s  {case.accesses_per_s:>10,.0f} acc/s  "
-              f"lane {case.lane_share:>6.1%}")
-    print(f"  {'aggregate':<16} {result.total_accesses:>9} accesses  "
-          f"{result.total_wall_s:>7.2f}s  "
-          f"{result.aggregate_accesses_per_s:>10,.0f} acc/s")
-
-    if args.baseline and os.path.exists(args.baseline):
-        with open(args.baseline) as fh:
-            bench = json.load(fh)
-        base = bench.get("baseline", {})
-        base_rate = base.get("aggregate_accesses_per_s")
-        if base_rate and base.get("scale") == args.scale:
-            speedup = result.aggregate_accesses_per_s / base_rate
-            print(f"  vs. recorded baseline ({args.baseline}): "
-                  f"{speedup:.2f}x ({base_rate:,.0f} acc/s baseline)")
-        elif base_rate:
-            print(f"  (baseline in {args.baseline} was recorded at scale "
-                  f"{base.get('scale')!r}; rerun with --scale "
-                  f"{base.get('scale')} to compare)")
-
-    if profiler is not None:
-        print(profile_report(profiler, top=args.top))
-
-    if args.write_golden:
-        write_golden(args.write_golden, result)
-        print(f"golden records written to {args.write_golden}")
-    if args.check_golden:
-        problems = compare_records(
-            result.records(), load_golden(args.check_golden)
-        )
-        if problems:
-            for problem in problems:
-                print(f"GOLDEN DRIFT: {problem}", file=sys.stderr)
-            return 1
-        print(f"golden check: {len(result.cases)} record(s) match "
-              f"{args.check_golden}")
-    return 0
-
-
 def _cmd_check(args) -> int:
     failures = 0
     models = [BaseCxlDsmModel(args.hosts)]
@@ -687,7 +559,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
     "soak": _cmd_soak,
-    "profile": _cmd_profile,
     "check": _cmd_check,
     "lint": _cmd_lint,
     "workloads": _cmd_workloads,

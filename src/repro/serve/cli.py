@@ -19,8 +19,6 @@ from ..workloads import WorkloadScale, workload_names
 from .service import ExperimentService, submit_spec
 from .status import format_status, pid_alive, read_status
 
-_SCALES = ("tiny", "small", "default", "large")
-
 
 def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
     sub = serve.add_subparsers(dest="serve_command", required=True)
@@ -73,7 +71,8 @@ def add_serve_arguments(serve: argparse.ArgumentParser) -> None:
     submit.add_argument("--workload", default=None,
                         choices=workload_names())
     submit.add_argument("--scheme", default="pipm")
-    submit.add_argument("--scale", default="tiny", choices=_SCALES)
+    submit.add_argument("--scale", default="tiny",
+                        choices=WorkloadScale.NAMES)
     submit.add_argument("--hosts", type=int, default=4)
     submit.add_argument(
         "--scheme-kwargs", default=None, metavar="K=V[,K=V...]",
@@ -138,7 +137,7 @@ def _cmd_submit(args) -> int:
         specs.append(ExperimentSpec.build(
             args.workload, args.scheme,
             config=SystemConfig.scaled(num_hosts=args.hosts),
-            scale=getattr(WorkloadScale, args.scale)(),
+            scale=WorkloadScale.named(args.scale),
             scheme_kwargs=scheme_kwargs,
         ))
     if not specs:

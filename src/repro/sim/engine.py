@@ -48,7 +48,6 @@ _SVC_LOCAL = int(ServicePoint.LOCAL_MEM)
 _SVC_PIPM = int(ServicePoint.PIPM_LOCAL)
 _SVC_CXL = int(ServicePoint.CXL_MEM)
 _LINE_SHIFT = units.LINE_SHIFT
-_PAGE_SHIFT = units.PAGE_SHIFT
 _LINE_TO_PAGE = units.PAGE_SHIFT - units.LINE_SHIFT
 _LINES_MASK = units.LINES_PER_PAGE - 1
 _CACHE_LINE = units.CACHE_LINE
@@ -82,6 +81,7 @@ def _make_dram_path(pool):
     """
     channels = pool.channels
     n_ch = pool._num_channels
+    shift = pool._interleave_shift
     first = channels[0]
     row_bytes = first._row_bytes
     banks = first._banks
@@ -94,7 +94,7 @@ def _make_dram_path(pool):
     pend_h = [0] * n_ch
 
     def dram(addr, now):
-        idx = (addr >> _PAGE_SHIFT) % n_ch
+        idx = (addr >> shift) % n_ch
         channel = channels[idx]
         row = addr // row_bytes
         bank = row % banks

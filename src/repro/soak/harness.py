@@ -46,13 +46,6 @@ from .minimize import ddmin
 #: Reproducer artifact format version.
 ARTIFACT_VERSION = 1
 
-#: Named workload scales a soak run may draw from.
-SCALES = {
-    "tiny": WorkloadScale.tiny,
-    "small": WorkloadScale.small,
-    "default": WorkloadScale.default,
-}
-
 
 @dataclass(frozen=True)
 class FailureSignature:
@@ -132,7 +125,7 @@ class SoakTrial:
             workload=self.workload,
             scheme=self.scheme,
             config=config,
-            scale=SCALES[self.scale_name](),
+            scale=WorkloadScale.named(self.scale_name),
         )
 
     def describe(self) -> str:
@@ -181,10 +174,7 @@ class SoakHarness:
     ) -> None:
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        if scale not in SCALES:
-            raise ValueError(
-                f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
-            )
+        WorkloadScale.named(scale)  # rejects an unknown name up front
         if not 0.0 <= sabotage_rate <= 1.0:
             raise ValueError("sabotage_rate must be in [0, 1]")
         if not 0.0 <= crash_rate <= 1.0:

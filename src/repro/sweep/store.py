@@ -60,9 +60,7 @@ class ResultStore:
     """Content-addressed store of simulation results.
 
     ``get``/``put`` speak :class:`ExperimentSpec`; the lower-level
-    ``get_record``/``put_record`` accept raw string keys so legacy
-    callers (the benches' :class:`ResultCache`) can share the same
-    atomic-file machinery.
+    ``get_record``/``put_record`` take the raw content key.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:

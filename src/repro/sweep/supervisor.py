@@ -11,6 +11,7 @@ supervises it directly:
 
 * a worker that **raises** reports the traceback over a pipe and becomes
   a :class:`FailedRun` (status ``failed``) — other jobs are unaffected;
+  so does a result the parent cannot unpickle;
 * a worker that **hangs** past the per-job timeout is terminated
   (SIGTERM, then SIGKILL after a grace period) and becomes a
   :class:`FailedRun` (status ``timeout``);
@@ -261,10 +262,15 @@ class JobSupervisor:
         """
         job = state.job
         message = None
+        error = None
         try:
             message = state.conn.recv()
         except (EOFError, OSError):
             pass  # child died without reporting; attribute below
+        except Exception:  # the result arrived but will not unpickle
+            error = (
+                "worker result could not be read:\n" + traceback.format_exc()
+            )
         finally:
             state.conn.close()
         if message is not None and message[0] == "ok":
@@ -285,7 +291,7 @@ class JobSupervisor:
         state.process.join(_TERM_GRACE_S)
         if message is not None:  # ("error", traceback)
             error = str(message[1])
-        else:
+        elif error is None:
             code = state.process.exitcode
             if code is not None and code < 0:
                 try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,18 @@ class WorkloadScale:
     accesses_per_host: int = 150_000
     footprint_bytes: int = 4 * units.MB
     seed: int = 7
+
+    #: The preset names :meth:`named` accepts, smallest first.
+    NAMES: ClassVar[Tuple[str, ...]] = ("tiny", "small", "default", "large")
+
+    @classmethod
+    def named(cls, name: str) -> "WorkloadScale":
+        """The preset called ``name`` (one of :attr:`NAMES`)."""
+        if name not in cls.NAMES:
+            raise ValueError(
+                f"unknown scale {name!r}; choose from {list(cls.NAMES)}"
+            )
+        return getattr(cls, name)()
 
     @classmethod
     def tiny(cls) -> "WorkloadScale":

@@ -63,23 +63,6 @@ class TestCliCommands:
         assert "pipm" in out
         assert "speedup" in out
 
-    @pytest.mark.parametrize("lane_flag", [[], ["--no-fast-lane"]])
-    def test_profile_prints_lane_share(self, capsys, lane_flag):
-        code = main([
-            "profile", "--scale", "tiny", "--cases", "pr:native",
-            *lane_flag,
-        ])
-        assert code == 0
-        line = next(
-            row for row in capsys.readouterr().out.splitlines()
-            if "pr/native" in row
-        )
-        share = float(line.split("lane")[1].strip().rstrip("%"))
-        if lane_flag:
-            assert share == 0.0
-        else:
-            assert share > 50.0
-
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--workload", "doom", "--scale", "tiny"])

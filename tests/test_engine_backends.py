@@ -12,7 +12,7 @@ the device directory's lookup counts.  So every comparison below reads
 those off the system after the run, next to the record and the full
 ``StatRegistry.snapshot()``; a lost fold shows up in one of the three.
 
-The hand-picked cases below pin the profile microbench matrix plus the
+The hand-picked cases below pin the golden core cases plus the
 configurations that fence the lane or change what it runs (fault plans,
 watchdog audits, interval schemes, the ``local-only`` scheme — the only
 one whose accesses take the lane's host-private flow); the hypothesis
@@ -30,14 +30,16 @@ from hypothesis import strategies as st
 
 from repro import SystemConfig, units
 from repro.config import FaultConfig
+from repro.mem.dram import DramPool
 from repro.pipm.remap_cache import InfiniteRemapCache
 from repro.policies import SCHEME_CLASSES, make_scheme
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationEngine, _make_flat_path, simulate
-from repro.sim.profile import PROFILE_CASES
 from repro.sim.system import MultiHostSystem
 from repro.workloads.registry import generate
 from repro.workloads.trace import WorkloadScale
+
+from .test_golden_determinism import CORE_CASES
 
 
 def _canon(result) -> str:
@@ -107,7 +109,7 @@ class TestBackendParity:
     # local-only is the one scheme whose misses take the lane's
     # host-private flow: no workload issues a host-private address.
     @pytest.mark.parametrize(
-        "workload,scheme", [*PROFILE_CASES, ("pr", "local-only")]
+        "workload,scheme", [*CORE_CASES, ("pr", "local-only")]
     )
     def test_profile_cases_identical(self, workload, scheme):
         config = SystemConfig.scaled()
@@ -136,6 +138,21 @@ class TestBackendParity:
         # tick boundaries the slow path sees.
         config = SystemConfig.scaled()
         _assert_lanes_agree(_trace("ycsb", config), "memtis", config)
+
+    @pytest.mark.parametrize("workload,scheme", CORE_CASES)
+    def test_dram_interleave_follows_the_pool(self, workload, scheme,
+                                              monkeypatch):
+        # The lane's inline DRAM access must pick the channel the pool
+        # picks: interleave every pool at 256 B instead of a page.
+        init = DramPool.__init__
+
+        def fine_interleave(pool, *args, **kwargs):
+            init(pool, *args, **kwargs)
+            pool._interleave_shift = units.LINE_SHIFT + 2
+
+        monkeypatch.setattr(DramPool, "__init__", fine_interleave)
+        config = SystemConfig.scaled()
+        _assert_lanes_agree(_trace(workload, config), scheme, config)
 
 
 class TestBackendSelection:
@@ -219,19 +236,26 @@ _CRASH_WITH_ERRORS = (
 
 class TestLaneShare:
     # A lane that stands down moves no output byte, so no parity test can
-    # see it; pin the share of accesses the lanes serve instead.  These
-    # runs read 0.90-0.95.
+    # see it; pin the share of accesses the lanes serve instead.  The
+    # ycsb/pipm runs read 0.90-0.95, pr/native 0.99.
     @pytest.mark.parametrize(
-        "plan", [None, _CRASH_WITH_ERRORS, "flaky", "degraded"],
-        ids=["faults-off", "crash-errors", "flaky", "degraded"],
+        "workload,scheme,plan,floor",
+        [
+            ("ycsb", "pipm", None, 0.85),
+            ("ycsb", "pipm", _CRASH_WITH_ERRORS, 0.85),
+            ("ycsb", "pipm", "flaky", 0.85),
+            ("ycsb", "pipm", "degraded", 0.85),
+            ("pr", "native", None, 0.5),
+        ],
+        ids=["faults-off", "crash-errors", "flaky", "degraded", "pr-native"],
     )
-    def test_lane_share_floor(self, plan):
+    def test_lane_share_floor(self, workload, scheme, plan, floor):
         config = SystemConfig.scaled(num_hosts=4)
         if plan is not None:
             config = config.replace(faults=FaultConfig.parse(plan))
-        engine = _engine(_trace("ycsb", config), "pipm", config)
+        engine = _engine(_trace(workload, config), scheme, config)
         result = engine.run()
-        assert engine.lane_accesses / result.accesses >= 0.85
+        assert engine.lane_accesses / result.accesses >= floor
 
 
 # ----------------------------------------------------------------------

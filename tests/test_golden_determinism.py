@@ -1,16 +1,19 @@
-"""Golden-record determinism: the full figure-matrix output, pinned.
+"""Golden-record determinism: the simulator's output, pinned.
 
-``tests/golden/core_records.json`` holds the complete
-``SimulationResult.to_record()`` of each microbench case (a PIPM run, a
-baseline CXL run, and a kernel-migration run) at tiny scale.  Two
-distinct failure modes land here:
+This module owns both pin files and their writer.  Two distinct failure
+modes land here:
 
 * a *model* change (including a latency-bug fix) moves the numbers —
-  expected exactly once per intentional change, regenerate with
-  ``python -m repro profile --scale tiny --write-golden
-  tests/golden/core_records.json``;
+  expected exactly once per intentional change; regenerate both files in
+  the same commit with
+  ``PYTHONPATH=src python tests/test_golden_determinism.py --write``;
 * a *performance* change moves the numbers — never acceptable; the perf
   work in this repo is required to be output-neutral.
+
+``tests/golden/core_records.json`` holds the complete
+``SimulationResult.to_record()`` of the three :data:`CORE_CASES` (a PIPM
+run, a baseline CXL run, and a kernel-migration run) on the default
+4-host flat system at tiny scale.
 
 ``tests/golden/fabric_records.json`` extends the pins past the flat,
 fault-free cases: a 16-host two-tier rack, a single-switch rack under a
@@ -18,25 +21,43 @@ fault-free cases: a 16-host two-tier rack, a single-switch rack under a
 transfer errors plus a host crash and rejoin.  Each case pins the record
 *and* the full ``StatRegistry`` snapshot, so link, switch-segment and
 DRAM counters (queue ns included) are held byte-identical too.
-Regenerate after an intentional model change with
-``PYTHONPATH=src python tests/test_golden_determinism.py --write-fabric``.
+
+Every pin is checked with the engine's fast lane on and with it off.
 """
 
 import json
 import sys
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
 from repro.config import FaultConfig, SystemConfig
 from repro.sim.harness import run_experiment
-from repro.sim.profile import PROFILE_CASES, compare_records, run_microbench
 from repro.sim.results import SimulationResult
 from repro.stats import StatRegistry
 from repro.workloads.trace import WorkloadScale
 
 GOLDEN = Path(__file__).parent / "golden" / "core_records.json"
 FABRIC_GOLDEN = Path(__file__).parent / "golden" / "fabric_records.json"
+
+#: One (workload, scheme) per mechanism on the hot path: PIPM, the
+#: baseline CXL-DSM, and kernel page migration.
+CORE_CASES = (
+    ("pr", "pipm"),
+    ("pr", "native"),
+    ("ycsb", "memtis"),
+)
+
+
+def _core_records(fast_lane=True):
+    return {
+        f"{workload}/{scheme}": run_experiment(
+            workload, scheme, SystemConfig.scaled(),
+            scale=WorkloadScale.tiny(), fast_lane=fast_lane,
+        ).to_record()
+        for workload, scheme in CORE_CASES
+    }
 
 
 def _fabric_cases():
@@ -86,46 +107,92 @@ def _fabric_records(fast_lane=True):
     }
 
 
-def write_fabric_golden(path=FABRIC_GOLDEN):
-    payload = {
-        "comment": (
-            "to_record() + StatRegistry.snapshot() per switched/faulted "
-            "case at tiny scale; perf work must keep these byte-identical "
-            "(regenerate: PYTHONPATH=src python "
-            "tests/test_golden_determinism.py --write-fabric)"
-        ),
-        "scale": "tiny",
-        "records": _fabric_records(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def compare_records(
+    current: Dict[str, Dict], golden: Dict[str, Dict]
+) -> List[str]:
+    """Human-readable diffs between two record maps (empty = clean).
+
+    Comparison is on the canonical JSON text, so a drift anywhere in the
+    record — a counter, a latency sum, a per-host dict — is caught even
+    if float repr would round it away in casual printing.
+    """
+    problems: List[str] = []
+    for key in sorted(golden):
+        if key not in current:
+            problems.append(f"{key}: missing from this run")
+            continue
+        want = json.dumps(golden[key], sort_keys=True)
+        got = json.dumps(current[key], sort_keys=True)
+        if want == got:
+            continue
+        detail = _first_divergence(golden[key], current[key])
+        problems.append(f"{key}: record drifted ({detail})")
+    for key in sorted(set(current) - set(golden)):
+        problems.append(f"{key}: not pinned in the golden file")
+    return problems
+
+
+def _first_divergence(want: Dict, got: Dict) -> str:
+    for key in sorted(set(want) | set(got)):
+        want_text = json.dumps(want.get(key), sort_keys=True)
+        got_text = json.dumps(got.get(key), sort_keys=True)
+        if want_text != got_text:
+            if len(want_text) > 60:
+                want_text = want_text[:57] + "..."
+            if len(got_text) > 60:
+                got_text = got_text[:57] + "..."
+            return f"field {key!r}: golden={want_text} got={got_text}"
+    return "structural difference"
+
+
+def write_goldens():
+    """Rewrite both pin files from this tree's runs."""
+    regenerate = (
+        "regenerate: PYTHONPATH=src python "
+        "tests/test_golden_determinism.py --write"
+    )
+    for path, what, records in (
+        (GOLDEN, "SimulationResult.to_record() per core case",
+         _core_records()),
+        (FABRIC_GOLDEN,
+         "to_record() + StatRegistry.snapshot() per switched/faulted case",
+         _fabric_records()),
+    ):
+        payload = {
+            "comment": (
+                f"{what} at tiny scale; perf work must keep these "
+                f"byte-identical ({regenerate})"
+            ),
+            "scale": "tiny",
+            "records": records,
+        }
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_records_match_golden_file():
     golden = json.loads(GOLDEN.read_text())
     assert golden["scale"] == "tiny"
-    result = run_microbench(scale="tiny", cases=PROFILE_CASES)
-    problems = compare_records(result.records(), golden["records"])
+    problems = compare_records(_core_records(), golden["records"])
     assert problems == [], "\n".join(problems)
 
 
 def test_lane_off_matches_golden_file():
     """The slow path alone (fast lane off) reproduces the same bytes."""
     golden = json.loads(GOLDEN.read_text())
-    result = run_microbench(
-        scale="tiny", cases=PROFILE_CASES, fast_lane=False
+    problems = compare_records(
+        _core_records(fast_lane=False), golden["records"]
     )
-    problems = compare_records(result.records(), golden["records"])
     assert problems == [], "\n".join(problems)
 
 
 def test_golden_covers_pipm_and_kernel_migration():
     """The pinned matrix must exercise both mechanisms' hot paths."""
-    schemes = {scheme for _, scheme in PROFILE_CASES}
+    schemes = {scheme for _, scheme in CORE_CASES}
     assert "pipm" in schemes
     assert "memtis" in schemes  # kernel page migration
     golden = json.loads(GOLDEN.read_text())
     assert set(golden["records"]) == {
-        f"{w}/{s}" for w, s in PROFILE_CASES
+        f"{w}/{s}" for w, s in CORE_CASES
     }
 
 
@@ -161,7 +228,7 @@ def test_fabric_golden_exercises_fabric_and_faults():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write-fabric"]:
-        sys.exit("usage: test_golden_determinism.py --write-fabric")
-    write_fabric_golden()
-    print(f"wrote {FABRIC_GOLDEN}")
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden_determinism.py --write")
+    write_goldens()
+    print(f"wrote {GOLDEN} and {FABRIC_GOLDEN}")

@@ -13,8 +13,6 @@ import dataclasses
 import json
 import multiprocessing
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,10 +26,6 @@ from repro.sweep import (
     content_key,
 )
 from repro.workloads.trace import WorkloadScale
-
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
-if str(BENCH_DIR) not in sys.path:  # for the legacy ResultCache tests
-    sys.path.insert(0, str(BENCH_DIR))
 
 
 # ----------------------------------------------------------------------
@@ -245,17 +239,6 @@ def _store_writer(args):
     return writer
 
 
-def _legacy_cache_writer(args):
-    root, writer = args
-    from common import ResultCache  # benchmarks/common.py
-
-    cache = ResultCache(Path(root))
-    rng = random.Random(1000 + writer)
-    for i in range(KEYS_PER_WRITER):
-        cache.put(f"w{writer}|k{i}", make_result(rng, tag=i))
-    return writer
-
-
 def _same_key_writer(args):
     root, writer = args
     store = ResultStore(root)
@@ -276,21 +259,6 @@ class TestConcurrentWriters:
                 entry = store.get_record(f"writer{writer}-key{i}")
                 assert entry is not None, "lost a concurrent write"
                 assert entry["writer"] == writer and entry["i"] == i
-
-    def test_legacy_result_cache_concurrent_writers(self, tmp_path):
-        """The bench ResultCache no longer loses concurrent entries."""
-        with multiprocessing.Pool(N_WRITERS) as pool:
-            pool.map(_legacy_cache_writer,
-                     [(str(tmp_path), w) for w in range(N_WRITERS)])
-        from common import ResultCache
-
-        cache = ResultCache(tmp_path)
-        for writer in range(N_WRITERS):
-            rng = random.Random(1000 + writer)
-            for i in range(KEYS_PER_WRITER):
-                expected = make_result(rng, tag=i)
-                got = cache.get(f"w{writer}|k{i}")
-                assert got == expected, "lost or corrupted a concurrent write"
 
     def test_same_key_hammering_never_corrupts(self, tmp_path):
         with multiprocessing.Pool(N_WRITERS) as pool:

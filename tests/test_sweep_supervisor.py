@@ -14,6 +14,17 @@ from repro.sweep import FailedRun, Job, JobOutcome, JobSupervisor
 from repro.sweep.supervisor import SupervisorPolicy
 
 
+def _refuse_to_rebuild(text):
+    raise RuntimeError(text)
+
+
+class _Unreadable:
+    """Pickles fine in the worker; unpickling in the parent raises."""
+
+    def __reduce__(self):
+        return _refuse_to_rebuild, ("result will not unpickle",)
+
+
 def _worker(payload):
     """Scriptable test worker; fork-inherited, so no pickling needed."""
     mode = payload["mode"]
@@ -32,6 +43,8 @@ def _worker(payload):
             return "recovered"
         marker.write_text("attempted")
         raise RuntimeError("first attempt fails")
+    if mode == "unreadable":
+        return _Unreadable()
     if mode == "linger":
         # Deliver the result, then wedge the interpreter's shutdown: a
         # stuck destructor/atexit hook must not block the supervisor.
@@ -165,6 +178,20 @@ class TestOutcomes:
         assert outcomes["good-2"].result == "y"
         assert outcomes["bad"].failure.status == "failed"
         assert outcomes["stuck"].failure.status == "timeout"
+
+    def test_unreadable_result_fails_only_its_job(self):
+        """A result the parent cannot unpickle fails that job; the sweep
+        goes on to the next one."""
+        outcomes = _run(
+            [_job("bad", mode="unreadable"), _job("good", mode="ok", value=3)],
+            slots=1,
+        )
+        failure = outcomes["bad"].failure
+        assert isinstance(failure, FailedRun)
+        assert failure.status == "failed"
+        assert "RuntimeError" in failure.error
+        assert "result will not unpickle" in failure.error
+        assert outcomes["good"].ok and outcomes["good"].result == 3
 
     def test_lingering_worker_does_not_block_settle(self):
         """A child that wedges after reporting its result is escalated

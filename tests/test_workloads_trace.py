@@ -32,6 +32,10 @@ class TestWorkloadScale:
         assert (tiny.accesses_per_host < small.accesses_per_host
                 < default.accesses_per_host < large.accesses_per_host)
         assert tiny.footprint_bytes < large.footprint_bytes
+        assert [WorkloadScale.named(name) for name in WorkloadScale.NAMES] \
+            == [tiny, small, default, large]
+        with pytest.raises(ValueError, match=r"'huge'.*'tiny', 'small'"):
+            WorkloadScale.named("huge")
 
 
 class TestAddressPools:
