@@ -32,7 +32,7 @@ from .analysis.report import format_fault_report, format_table
 from .coherence import BaseCxlDsmModel, ModelChecker, PipmModel
 from .config import FabricConfig, FaultConfig, SystemConfig
 from .sim.harness import DEFAULT_SCHEMES, compare_schemes, run_experiment
-from .units import pretty_size, pretty_time
+from .units import pretty_time
 from .workloads import WorkloadScale, workload_names
 from .workloads.registry import WORKLOADS
 

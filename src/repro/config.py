@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from . import units
-from .units import GB, KB, MB, MS, NS, US
+from .units import GB, KB, MB, MS, US
 
 
 @dataclass(frozen=True)

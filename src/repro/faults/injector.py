@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from .plan import FaultPlan, HostCrashEvent, LinkDegradeWindow
+from .plan import FaultPlan, LinkDegradeWindow
 
 _INF = float("inf")
 

@@ -17,7 +17,6 @@ engine (and the OS-skew baseline) act on the returned decisions.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import Optional
 
 from ..config import PipmConfig
 from .remap_global import NO_HOST, GlobalRemapEntry

@@ -15,7 +15,7 @@ the system model along with the data access they accompany).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from .. import units
 from ..config import PipmConfig

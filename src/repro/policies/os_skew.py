@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import PipmConfig
 from ..pipm.majority_vote import MajorityVote, VoteDecision
-from ..pipm.remap_global import NO_HOST, GlobalRemapEntry
+from ..pipm.remap_global import GlobalRemapEntry
 from .base import IntervalSchemeBase, MigrationPlan
 
 

@@ -17,7 +17,9 @@ while its host still holds the earliest heap turn and no armed event
 (interval tick, watchdog audit, poison arrival, stall window, crash
 epoch) comes due.  Everything else — a host without a lane, a lane bail,
 an event boundary — is one access through :meth:`MultiHostSystem.access`,
-the serialized slow path.  Records are byte-identical with the lane on or
+the serialized slow path.  The lane flies every path's link and segment
+hops inline, on any topology, unless the edge link has a fault model or a
+segment a degrade window.  Records are byte-identical with the lane on or
 off; ``fast_lane=False`` is the reference that tests compare against.
 """
 
@@ -59,9 +61,6 @@ _M = 3
 
 #: Radix-root entries are 8-byte pointers to leaves (see system.py).
 _ROOT_PTRS_PER_LINE = units.CACHE_LINE // 8
-
-_CONTROL_BYTES = CONTROL_BYTES
-_TO_DEVICE = TO_DEVICE
 
 
 def _make_dram_path(pool):
@@ -165,14 +164,13 @@ def _make_flat_path(system, host_id, stall_by_service):
     the caller runs the lane only while this host holds the earliest heap
     turn, so the lane sees exactly the state the slow path would see at
     that point of the global order.  The CXL round trip and a dirty LLC
-    victim's writeback call the host's real path — a
-    :class:`~repro.mem.fabric.SwitchedPath` (shared segments, degrade
-    windows and their counters included) or a faulted
-    :class:`~repro.mem.cxl_link.CxlLink` (its error stream draws in the
-    slow path's order, so retries, give-ups and degrade windows come out
-    exact).  Only on a fault-free flat link, where ``paths[h] is
-    links[h]`` and no fault model is attached, is the link arithmetic
-    inlined below.
+    victim's writeback fly the edge link and the path's shared segments
+    (a flat path has none) inline, on any topology; only a fault model
+    on the edge link or a degrade window on a segment makes the lane
+    call the host's real path, where a faulted
+    :class:`~repro.mem.cxl_link.CxlLink` draws its error stream in the
+    slow path's order and a :class:`~repro.mem.fabric.SwitchedPath`
+    tests each window where the flight reaches it.
 
     The only fault state a lane access reads is the migration governor.
     Where the slow path would ask ``injector.promotion_blocked`` before a
@@ -184,10 +182,10 @@ def _make_flat_path(system, host_id, stall_by_service):
     Three mechanical liberties keep the hot path short without touching
     observable results:
 
-    * zero-queue link/DRAM latencies fold to precomputed constants
+    * zero-queue hop/DRAM latencies fold to precomputed constants
       (IEEE-754: adding ``0.0`` to a positive float is identity, so the
       constant equals the runtime sum bit for bit);
-    * integer statistics (hit/miss/eviction counters, flat-link
+    * integer statistics (hit/miss/eviction counters, every hop's
       message/byte totals) accumulate in closure cells that ``flush()``
       folds back in — every concurrent writer only increments, and
       nothing reads them until records are collected, so the deferral
@@ -261,30 +259,41 @@ def _make_flat_path(system, host_id, stall_by_service):
     dram_local, flush_local = _make_dram_path(host.local_mem.pool)
     dram_cxl, flush_cxl = _make_dram_path(system.cxl_mem.pool)
 
-    # Fault-free flat link: the path is the edge link itself, whose two
-    # legs fold to the inline arithmetic below with deferred message/byte
-    # counts (cheaper than a round_trip call per miss).  A switched
-    # path's segments and a faulted link's error stream and degrade
-    # windows live in their own methods, so there the lane calls the
-    # path's own round_trip/transfer, exactly as _cxl_access and
-    # _handle_llc_eviction do.
+    # The path's hops: the edge link, then its segments (a flat path is
+    # the edge link itself).  A faulted edge link or a segment with a
+    # degrade window makes the lane call the path's own round_trip and
+    # transfer, as _cxl_access and _handle_llc_eviction do; windows are
+    # armed only in MultiHostSystem.__init__ (apply_switch_down), before
+    # run() builds any lane, so the choice holds for the whole run.
     path = system.paths[host_id]
     link = system.links[host_id]
-    folded = path is link and link._faults is None
+    hops = (link,) if path is link else (link, *path.segments)
+    folded = link._faults is None
+    for seg in hops[1:]:
+        if seg._deg_start < seg._deg_end:
+            folded = False
     round_trip = path.round_trip
     path_transfer = path.transfer
-    link_busy = link._busy_until
-    link_lat = link._latency_ns
-    link_msgs = link._messages
-    link_bytes = link._bytes
-    link_qns = link._queue_ns
-    # request_bytes * 1e9 / bw with constant operands, as transfer() does.
-    ser_ctrl = _CONTROL_BYTES * 1e9 / link._bw_bytes_ns
-    ser_line = _CACHE_LINE * 1e9 / link._bw_bytes_ns
-    rt_bytes = _CONTROL_BYTES + _CACHE_LINE
-    out0 = link_lat + ser_ctrl  # request leg, empty queue
-    in0 = link_lat + ser_line  # response leg, empty queue
-    rt0 = (out0 + in0) + ddir_ns  # whole round trip, both queues empty
+    rt_bytes = CONTROL_BYTES + _CACHE_LINE
+
+    def leg(size_bytes, order):
+        # Per hop: queue state, latency, serialization (as transfer()
+        # computes it), the empty-queue total and the queue-ns cell.
+        return [
+            (hop._busy_until, hop._latency_ns, ser, hop._latency_ns + ser,
+             hop._queue_ns)
+            for hop in order
+            for ser in (size_bytes * 1e9 / hop._bw_bytes_ns,)
+        ]
+
+    # The round trip flies the edge link (first hop out, last hop back)
+    # inline and loops over the segments only, so a flat path's misses
+    # run no loop body; a writeback loops over every hop.
+    (link_busy, link_lat, ser_ctrl, out0, link_qns), *request_segs = leg(
+        CONTROL_BYTES, hops
+    )
+    *response_segs, (_, _, ser_line, in0, _) = leg(_CACHE_LINE, hops[::-1])
+    wb_hops = leg(_CACHE_LINE, hops)
 
     device_dir = system.device_dir
     dir_arrays = device_dir._arrays
@@ -363,8 +372,9 @@ def _make_flat_path(system, host_id, stall_by_service):
         device_dir.lookups += d_l
         device_dir.hits += d_h
         device_dir.capacity_evictions += d_ce
-        link_msgs.value += 2 * rt_n + wb_n
-        link_bytes.value += rt_bytes * rt_n + _CACHE_LINE * wb_n
+        for hop in hops:
+            hop._messages.value += 2 * rt_n + wb_n
+            hop._bytes.value += rt_bytes * rt_n + _CACHE_LINE * wb_n
         if is_pipm:
             lrc.hits += p_h
             lrc.misses += p_m
@@ -555,22 +565,8 @@ def _make_flat_path(system, host_id, stall_by_service):
                     if pipm_entry.counter < lmax:
                         pipm_entry.counter += 1
                     lat += ldir_ns + dram_local(addr, now)
-                    if len(cache_set) >= l1_ways:
-                        v = cache_set.pop(next(iter(cache_set)))
-                        l1.evictions += 1
-                        if v.dirty:
-                            ve = llc_sets[v.line & llc_mask].get(v.line)
-                            if ve is not None:
-                                ve.dirty = True
-                        v.line = line
-                        v.dirty = is_write
-                        v.state = 1
-                        cache_set[line] = v
-                    else:
-                        cache_set[line] = CacheEntry(line, is_write, 1)
                     exclusive = 1
                     svc = svc_pipm
-                    # fall through to the LLC fill below via shared tail
                 else:
                     if pipm_entry is not None:
                         # Partially migrated here, but this line still
@@ -625,44 +621,56 @@ def _make_flat_path(system, host_id, stall_by_service):
             if flow != 2:
                 # ---- plain cacheable CXL access (_cxl_access) ----
                 if folded:
-                    # Both bandwidth-server legs collapse to constants
-                    # when their queues are empty (the common case).
-                    b0 = link_busy[0]
-                    if b0 > now:
-                        qd = b0 - now
-                        link_busy[0] = b0 + ser_ctrl
+                    # Request leg, then the response leg from when it
+                    # delivers; an empty-queue hop adds its constant.
+                    b = link_busy[0]
+                    if b > now:
+                        qd = b - now
+                        link_busy[0] = b + ser_ctrl
                         link_qns.value += qd
                         out = link_lat + qd + ser_ctrl
-                        then = now + out
-                        b1 = link_busy[1]
-                        if b1 > then:
-                            qd = b1 - then
-                            link_busy[1] = b1 + ser_line
-                            link_qns.value += qd
-                            extra = (
-                                (out + (link_lat + qd + ser_line)) + ddir_ns
-                            )
-                        else:
-                            link_busy[1] = then + ser_line
-                            extra = (out + in0) + ddir_ns
                     else:
                         link_busy[0] = now + ser_ctrl
-                        then = now + out0
-                        b1 = link_busy[1]
-                        if b1 > then:
-                            qd = b1 - then
-                            link_busy[1] = b1 + ser_line
-                            link_qns.value += qd
-                            extra = (
-                                (out0 + (link_lat + qd + ser_line)) + ddir_ns
-                            )
+                        out = out0
+                    for busy, hop_lat, ser, hop0, qns in request_segs:
+                        at = now + out
+                        b = busy[0]
+                        if b > at:
+                            qd = b - at
+                            busy[0] = b + ser
+                            qns.value += qd
+                            out += hop_lat + qd + ser
                         else:
-                            link_busy[1] = then + ser_line
-                            extra = rt0
+                            busy[0] = at + ser
+                            out += hop0
+                    then = now + out
+                    back = 0.0
+                    for busy, hop_lat, ser, hop0, qns in response_segs:
+                        at = then + back
+                        b = busy[1]
+                        if b > at:
+                            qd = b - at
+                            busy[1] = b + ser
+                            qns.value += qd
+                            back += hop_lat + qd + ser
+                        else:
+                            busy[1] = at + ser
+                            back += hop0
+                    at = then + back
+                    b = link_busy[1]
+                    if b > at:
+                        qd = b - at
+                        link_busy[1] = b + ser_line
+                        link_qns.value += qd
+                        back += link_lat + qd + ser_line
+                    else:
+                        link_busy[1] = at + ser_line
+                        back += in0
+                    extra = (out + back) + ddir_ns
                     rt_n += 1
                 else:
                     extra = (
-                        round_trip(now, _CONTROL_BYTES, _CACHE_LINE) + ddir_ns
+                        round_trip(now, CONTROL_BYTES, _CACHE_LINE) + ddir_ns
                     )
                 d_l += 1
                 if dentry is not None:
@@ -730,36 +738,23 @@ def _make_flat_path(system, host_id, stall_by_service):
                         exclusive = 1
                 lat = lat + extra
                 svc = svc_cxl
-                # _fill_l1 with the directory-decided exclusivity.
-                if len(cache_set) >= l1_ways:
-                    v = cache_set.pop(next(iter(cache_set)))
-                    l1.evictions += 1
-                    if v.dirty:
-                        ve = llc_sets[v.line & llc_mask].get(v.line)
-                        if ve is not None:
-                            ve.dirty = True
-                    v.line = line
-                    v.dirty = is_write
-                    v.state = exclusive
-                    cache_set[line] = v
-                else:
-                    cache_set[line] = CacheEntry(line, is_write, exclusive)
 
-        if flow == 1 or flow == 4:
-            # _fill_l1, exclusive (local-memory flows).
-            if len(cache_set) >= l1_ways:
-                v = cache_set.pop(next(iter(cache_set)))
-                l1.evictions += 1
-                if v.dirty:
-                    ve = llc_sets[v.line & llc_mask].get(v.line)
-                    if ve is not None:
-                        ve.dirty = True
-                v.line = line
-                v.dirty = is_write
-                v.state = 1
-                cache_set[line] = v
-            else:
-                cache_set[line] = CacheEntry(line, is_write, 1)
+        # _fill_l1: exclusive from local memory, as the directory decided
+        # from CXL.  Every flow's mutations above precede it, as in the
+        # slow path.
+        if len(cache_set) >= l1_ways:
+            v = cache_set.pop(next(iter(cache_set)))
+            l1.evictions += 1
+            if v.dirty:
+                ve = llc_sets[v.line & llc_mask].get(v.line)
+                if ve is not None:
+                    ve.dirty = True
+            v.line = line
+            v.dirty = is_write
+            v.state = exclusive
+            cache_set[line] = v
+        else:
+            cache_set[line] = CacheEntry(line, is_write, exclusive)
 
         # ---- LLC fill + eviction handling (_fill tail) ----
         # The victim is handled first and its entry object recycled as
@@ -816,16 +811,21 @@ def _make_flat_path(system, host_id, stall_by_service):
                     if vdirty:
                         # path.transfer(TO_DEVICE) + CXL writeback.
                         if folded:
-                            b0 = link_busy[0]
-                            if b0 > now:
-                                qd = b0 - now
-                                link_busy[0] = b0 + ser_line
-                                link_qns.value += qd
-                            else:
-                                link_busy[0] = now + ser_line
+                            out = 0.0
+                            for busy, hop_lat, ser, hop0, qns in wb_hops:
+                                at = now + out
+                                b = busy[0]
+                                if b > at:
+                                    qd = b - at
+                                    busy[0] = b + ser
+                                    qns.value += qd
+                                    out += hop_lat + qd + ser
+                                else:
+                                    busy[0] = at + ser
+                                    out += hop0
                             wb_n += 1
                         else:
-                            path_transfer(_TO_DEVICE, now, _CACHE_LINE)
+                            path_transfer(TO_DEVICE, now, _CACHE_LINE)
                         dram_cxl(vaddr, now)
                     vset = dir_arrays[(vline // dir_sps) % dir_slices][
                         vline & dir_mask

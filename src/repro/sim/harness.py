@@ -8,7 +8,7 @@ speedups can be normalized the way every figure in the paper is.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
 from ..config import SystemConfig
 from ..policies import make_scheme

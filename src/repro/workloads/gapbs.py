@@ -24,20 +24,13 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .. import units
 from .graph import (
-    ELEM,
     GraphLayout,
     graph_for_footprint,
     layout_graph,
     line_sample,
 )
-from .trace import (
-    AccessRecord,
-    StreamBuilder,
-    WorkloadTrace,
-    partition_region,
-)
+from .trace import AccessRecord, StreamBuilder, WorkloadTrace
 
 #: Vertices processed per emission chunk.
 CHUNK = 64

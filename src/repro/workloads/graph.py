@@ -55,44 +55,59 @@ def rmat_graph(
 ) -> CsrGraph:
     """Generate an RMAT graph in CSR form.
 
-    ``num_vertices`` is rounded up to a power of two (RMAT requirement).
-    Self-loops are kept (harmless for traversal traces); duplicate edges
-    are not deduplicated, matching GAPBS's Kron generator defaults.
+    ``num_vertices`` is rounded up to a power of two (RMAT requirement),
+    at most ``2**31`` so a (source, destination) pair fits one int64 sort
+    key.  Self-loops are kept (harmless for traversal traces); duplicate
+    edges are not deduplicated, matching GAPBS's Kron generator defaults.
     """
     if num_vertices < 2:
         raise ValueError("need at least two vertices")
     scale = (num_vertices - 1).bit_length()
+    if scale > 31:
+        raise ValueError(
+            f"{num_vertices} vertices need 2**{scale}; at most 2**31 fit "
+            f"the int64 edge sort key"
+        )
     n = 1 << scale
     num_edges = n * avg_degree
     rng = np.random.default_rng(seed)
 
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
-    # Quadrant probabilities per bit level.
+    # One uniform draw per edge and bit level picks a quadrant:
+    # a = [0, a) (src 0, dst 0), b = [a, a+b) (0, 1), c = [a+b, a+b+c)
+    # (1, 0), d = the rest (1, 1).  Every level reuses the same buffers.
     ab = a + b
     abc = a + b + c
+    r = np.empty(num_edges)
+    src_bit = np.empty(num_edges, dtype=bool)
+    dst_bit = np.empty(num_edges, dtype=bool)
     for _ in range(scale):
-        r = rng.random(num_edges)
-        right = r > ab  # quadrants c or d -> dst high bit set? (see below)
-        # Recompute: quadrant a: src0 dst0; b: src0 dst1; c: src1 dst0; d: src1 dst1
-        in_b = (r >= a) & (r < ab)
-        in_c = (r >= ab) & (r < abc)
-        in_d = r >= abc
-        src = (src << 1) | (in_c | in_d).astype(np.int64)
-        dst = (dst << 1) | (in_b | in_d).astype(np.int64)
-        del right
+        rng.random(out=r)
+        np.greater_equal(r, ab, out=src_bit)  # c or d
+        np.greater_equal(r, a, out=dst_bit)
+        np.greater(dst_bit, src_bit, out=dst_bit)  # b: a <= r < a+b
+        src <<= 1
+        src |= src_bit
+        np.greater_equal(r, abc, out=src_bit)  # d
+        dst_bit |= src_bit
+        dst <<= 1
+        dst |= dst_bit
+    del r, src_bit, dst_bit
     # Permute vertex ids so hubs are spread across partitions.
     perm = rng.permutation(n)
-    src = perm[src]
-    dst = perm[dst]
 
     # Canonical CSR: rows sorted by source, each adjacency list sorted by
     # neighbor id (GAPBS builds sorted lists; this gives neighbor-indexed
-    # property reads their real spatial locality).
-    order = np.lexsort((dst, src))
-    src_sorted = src[order]
-    neighbors = dst[order]
-    counts = np.bincount(src_sorted, minlength=n)
+    # property reads their real spatial locality).  One sorted key per
+    # edge, source-major, orders both at once.
+    key = perm[src]
+    key *= n
+    key += perm[dst]
+    del src, dst
+    key.sort()
+    neighbors = key % n
+    counts = np.bincount(key // n, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return CsrGraph(n, offsets, neighbors)

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro import SystemConfig, units
 from repro.config import FaultConfig
 from repro.mem.dram import DramPool
+from repro.mem.fabric import SwitchedPath
 from repro.pipm.remap_cache import InfiniteRemapCache
 from repro.policies import SCHEME_CLASSES, make_scheme
 from repro.sim import engine as engine_module
@@ -257,6 +258,26 @@ class TestLaneShare:
         result = engine.run()
         assert engine.lane_accesses / result.accesses >= floor
 
+    def test_lane_folds_switched_paths(self, monkeypatch):
+        # A lane that calls SwitchedPath.round_trip instead of flying the
+        # hops inline moves no output byte either.  The slow path makes
+        # at most two round trips per access (its own and a dirty
+        # owner's); a folding lane makes none.  Calling lanes made about
+        # 52,400 here against a bound of about 16,900.
+        calls = 0
+        round_trip = SwitchedPath.round_trip
+
+        def counted(path, *args):
+            nonlocal calls
+            calls += 1
+            return round_trip(path, *args)
+
+        monkeypatch.setattr(SwitchedPath, "round_trip", counted)
+        config = SystemConfig.rack(16, "two-tier")
+        engine = _engine(_trace("pr", config), "native", config)
+        result = engine.run()
+        assert calls <= 2 * (result.accesses - engine.lane_accesses)
+
 
 # ----------------------------------------------------------------------
 # Differential fuzz: lane on == lane off, records, registry and caches
@@ -408,6 +429,13 @@ class TestLaneFuzz:
         hosts=8, topology="two-tier:hosts-per-leaf=2", faults="hostdown",
         scheme="memtis", workload="tpcc", accesses_per_host=2000, seed=3,
         opens_at=0.4, closes_at=0.8, victim=6,
+    ))
+    # A leaf switch down: its hosts' paths call round_trip/transfer while
+    # every other host folds, and all of them share the spine's port.
+    @example(case=LaneCase(
+        hosts=16, topology="two-tier:hosts-per-leaf=4", faults="switchdown",
+        scheme="native", workload="pr", accesses_per_host=1500, seed=7,
+        opens_at=0.2, closes_at=0.8, victim=1,
     ))
     # Shaped like the benchmark's faults-ycsb-4h.
     @example(case=LaneCase(

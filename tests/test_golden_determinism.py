@@ -11,9 +11,9 @@ modes land here:
   work in this repo is required to be output-neutral.
 
 ``tests/golden/core_records.json`` holds the complete
-``SimulationResult.to_record()`` of the three :data:`CORE_CASES` (a PIPM
-run, a baseline CXL run, and a kernel-migration run) on the default
-4-host flat system at tiny scale.
+``SimulationResult.to_record()`` of the four :data:`CORE_CASES` (a PIPM
+run, a baseline CXL run, a kernel-migration run, and a run that demotes
+pages) on the default 4-host flat system at tiny scale.
 
 ``tests/golden/fabric_records.json`` extends the pins past the flat,
 fault-free cases: a 16-host two-tier rack, a single-switch rack under a
@@ -42,11 +42,13 @@ GOLDEN = Path(__file__).parent / "golden" / "core_records.json"
 FABRIC_GOLDEN = Path(__file__).parent / "golden" / "fabric_records.json"
 
 #: One (workload, scheme) per mechanism on the hot path: PIPM, the
-#: baseline CXL-DSM, and kernel page migration.
+#: baseline CXL-DSM, kernel page migration, and a scheme that demotes
+#: pages back to CXL memory.
 CORE_CASES = (
     ("pr", "pipm"),
     ("pr", "native"),
     ("ycsb", "memtis"),
+    ("ycsb", "os-skew"),
 )
 
 
@@ -194,6 +196,9 @@ def test_golden_covers_pipm_and_kernel_migration():
     assert set(golden["records"]) == {
         f"{w}/{s}" for w, s in CORE_CASES
     }
+    # A demotion's page transfer (the device-bound link direction) is
+    # pinned only if some case demotes.
+    assert golden["records"]["ycsb/os-skew"]["demotions"] > 0
 
 
 def test_golden_records_round_trip():

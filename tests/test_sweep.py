@@ -23,7 +23,6 @@ from repro.sweep import (
     ResultStore,
     TraceStore,
     build_matrix,
-    content_key,
 )
 from repro.workloads.trace import WorkloadScale
 

@@ -14,6 +14,36 @@ from repro.workloads.graph import (
 )
 
 
+def _reference_rmat(num_vertices, avg_degree=8, seed=7, a=0.57, b=0.19,
+                    c=0.19):
+    """The allocating RMAT build: one mask per quadrant, then lexsort.
+
+    :func:`rmat_graph` draws in place and sorts one int64 key instead;
+    both must give the same CSR from the same random stream.
+    """
+    scale = (num_vertices - 1).bit_length()
+    n = 1 << scale
+    num_edges = n * avg_degree
+    rng = np.random.default_rng(seed)
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for _ in range(scale):
+        r = rng.random(num_edges)
+        in_b = (r >= a) & (r < a + b)
+        in_c = (r >= a + b) & (r < a + b + c)
+        in_d = r >= a + b + c
+        src = (src << 1) | (in_c | in_d).astype(np.int64)
+        dst = (dst << 1) | (in_b | in_d).astype(np.int64)
+    perm = rng.permutation(n)
+    src = perm[src]
+    dst = perm[dst]
+    order = np.lexsort((dst, src))
+    counts = np.bincount(src[order], minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, dst[order]
+
+
 class TestRmatGraph:
     def test_basic_structure(self):
         g = rmat_graph(1024, avg_degree=4, seed=1)
@@ -60,6 +90,36 @@ class TestRmatGraph:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             rmat_graph(1)
+
+    def test_rejects_sort_key_overflow(self):
+        # 2**32 vertices would overflow the int64 (source, neighbor) key;
+        # the check fires before anything is allocated.
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            rmat_graph(2**31 + 1)
+
+    @pytest.mark.parametrize("seed", [1, 7, 1234])
+    @pytest.mark.parametrize(
+        "num_vertices,avg_degree",
+        [
+            (2, 8),
+            (3, 1),
+            (1000, 8),
+            (5000, 3),
+            # graph_for_footprint at the tiny (512 KB) and small (2 MB)
+            # footprints.
+            (512 * units.KB // 88, 8),
+            (2 * units.MB // 88, 8),
+        ],
+    )
+    def test_matches_reference_build(self, num_vertices, avg_degree, seed):
+        g = rmat_graph(num_vertices, avg_degree=avg_degree, seed=seed)
+        offsets, neighbors = _reference_rmat(
+            num_vertices, avg_degree=avg_degree, seed=seed
+        )
+        assert g.offsets.dtype == offsets.dtype
+        assert g.neighbors.dtype == neighbors.dtype
+        assert np.array_equal(g.offsets, offsets)
+        assert np.array_equal(g.neighbors, neighbors)
 
 
 class TestLayout:
