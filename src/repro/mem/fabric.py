@@ -139,16 +139,18 @@ class SwitchedPath:
     ``switchdown`` only slows them — so retry/abort semantics are
     unchanged from the flat model.
 
-    Every CXL miss on a switched fabric crosses this object, so
-    :meth:`transfer` and :meth:`round_trip` fly the edge link and the
-    segments inline, reading their slots directly, instead of composing
-    :meth:`CxlLink.transfer` and :meth:`FabricSegment.transfer` calls.
-    The inline hops keep the composed arithmetic bit for bit: each hop
-    adds ``(latency + queue) + serialization`` to the running sum,
-    queue state and counters change in traversal order, and a segment's
-    degrade window is tested at the time the flight reaches it.  With a
-    fault model on the edge link both fall back to the composed calls,
-    where retries and degrade windows live.
+    The engine's fast lane flies a fault-free path's hops itself, so this
+    object serves the slow path's accesses, paths whose edge link has a
+    fault model and paths with a switchdown window.  :meth:`transfer`
+    flies the edge link and the segments inline, reading their slots
+    directly, instead of composing :meth:`CxlLink.transfer` and
+    :meth:`FabricSegment.transfer` calls.  The inline hops keep the
+    composed arithmetic bit for bit: each hop adds ``(latency + queue) +
+    serialization`` to the running sum, queue state and counters change
+    in traversal order, and a segment's degrade window is tested at the
+    time the flight reaches it.  With a fault model on the edge link it
+    falls back to the composed calls, where retries and degrade windows
+    live.
     """
 
     __slots__ = ("edge", "segments", "name", "_reversed")
@@ -240,93 +242,10 @@ class SwitchedPath:
         request_bytes: int = units.CACHE_LINE,
         response_bytes: int = units.CACHE_LINE,
     ) -> float:
-        """Request to the device and response back, starting at ``now``.
-
-        Both legs run inline (one call per CXL miss): edge link, segments
-        in order, then segments reversed, edge link — the response leg
-        starting when the request leg delivers, as two :meth:`transfer`
-        calls would.  The hops are unrolled rather than looped as in
-        :meth:`transfer`: a looped round trip measured 1.4x slower on a
-        two-tier path (CPython 3.11, 2-vCPU x86 VM).
-        """
-        edge = self.edge
-        if (
-            edge._faults is not None
-            or request_bytes <= 0
-            or response_bytes <= 0
-        ):
-            out = self.transfer(TO_DEVICE, now, request_bytes)
-            back = self.transfer(TO_HOST, now + out, response_bytes)
-            return out + back
-        # Request leg: edge link, then the segments in order.
-        serialization = request_bytes * 1e9 / edge._bw_bytes_ns
-        busy_until = edge._busy_until
-        busy = busy_until[TO_DEVICE]
-        if busy > now:
-            queue_delay = busy - now
-            busy_until[TO_DEVICE] = busy + serialization
-        else:
-            queue_delay = 0.0
-            busy_until[TO_DEVICE] = now + serialization
-        edge._messages.value += 1
-        edge._bytes.value += request_bytes
-        edge._queue_ns.value += queue_delay
-        out = edge._latency_ns + queue_delay + serialization
-        for seg in self.segments:
-            at = now + out
-            seg_lat = seg._latency_ns
-            serialization = request_bytes * 1e9 / seg._bw_bytes_ns
-            if seg._deg_start <= at < seg._deg_end:
-                seg_lat *= seg._deg_latency_x
-                serialization *= seg._deg_bw_x
-            busy_until = seg._busy_until
-            busy = busy_until[TO_DEVICE]
-            if busy > at:
-                queue_delay = busy - at
-                busy_until[TO_DEVICE] = busy + serialization
-            else:
-                queue_delay = 0.0
-                busy_until[TO_DEVICE] = at + serialization
-            seg._messages.value += 1
-            seg._bytes.value += request_bytes
-            seg._queue_ns.value += queue_delay
-            out += seg_lat + queue_delay + serialization
-        # Response leg: the segments reversed, then the edge link.
-        then = now + out
-        back = 0.0
-        for seg in self._reversed:
-            at = then + back
-            seg_lat = seg._latency_ns
-            serialization = response_bytes * 1e9 / seg._bw_bytes_ns
-            if seg._deg_start <= at < seg._deg_end:
-                seg_lat *= seg._deg_latency_x
-                serialization *= seg._deg_bw_x
-            busy_until = seg._busy_until
-            busy = busy_until[TO_HOST]
-            if busy > at:
-                queue_delay = busy - at
-                busy_until[TO_HOST] = busy + serialization
-            else:
-                queue_delay = 0.0
-                busy_until[TO_HOST] = at + serialization
-            seg._messages.value += 1
-            seg._bytes.value += response_bytes
-            seg._queue_ns.value += queue_delay
-            back += seg_lat + queue_delay + serialization
-        at = then + back
-        serialization = response_bytes * 1e9 / edge._bw_bytes_ns
-        busy_until = edge._busy_until
-        busy = busy_until[TO_HOST]
-        if busy > at:
-            queue_delay = busy - at
-            busy_until[TO_HOST] = busy + serialization
-        else:
-            queue_delay = 0.0
-            busy_until[TO_HOST] = at + serialization
-        edge._messages.value += 1
-        edge._bytes.value += response_bytes
-        edge._queue_ns.value += queue_delay
-        back += edge._latency_ns + queue_delay + serialization
+        """Request to the device and response back, starting at ``now``:
+        the response leg starts when the request leg delivers."""
+        out = self.transfer(TO_DEVICE, now, request_bytes)
+        back = self.transfer(TO_HOST, now + out, response_bytes)
         return out + back
 
     def try_round_trip(

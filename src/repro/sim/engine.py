@@ -877,11 +877,10 @@ class SimulationEngine:
         #: Accesses the fast lanes served in the last :meth:`run` (tooling
         #: only: not part of the result, so records do not depend on it).
         self.lane_accesses = 0
-        # Bake the per-host streams once into run-loop records; the SoA
-        # arrays serve the stream-wide sanity checks below as array
-        # reductions and are dropped once they pass.
+        # Bake each host's stream array once into run-loop records.  The
+        # stream-wide sanity checks below are reductions over the
+        # stream's own columns (``validate`` reads the address column).
         total = 0
-        addr_arrays = []
         self._run_streams = []
         self._instr_totals = []
         for host_id, stream in enumerate(trace.streams):
@@ -893,10 +892,9 @@ class SimulationEngine:
                 raise ValueError(
                     f"trace {trace.name!r}: host {host_id} record "
                     f"{index} has a negative inter-access gap "
-                    f"({stream[index][0]} ns); simulated time cannot run "
-                    f"backwards"
+                    f"({baked.gap[index]} instructions); simulated time "
+                    f"cannot run backwards"
                 )
-            addr_arrays.append(baked.addr)
             self._run_streams.append(baked.records())
             self._instr_totals.append(int(baked.gap.sum()))
         if total == 0:
@@ -905,11 +903,7 @@ class SimulationEngine:
                 f"nothing to simulate"
             )
         address_map = system.address_map
-        trace.validate(
-            address_map.cxl_capacity,
-            address_map.total_capacity,
-            addr_arrays=addr_arrays,
-        )
+        trace.validate(address_map.cxl_capacity, address_map.total_capacity)
 
     def run(self) -> SimulationResult:
         system = self.system

@@ -5,21 +5,24 @@ workload's (scheme x config) column across worker processes would otherwise
 regenerate the identical trace once per worker.  The store keys traces by
 a content hash of everything generation depends on (workload name, host
 and core counts, the full :class:`~repro.workloads.trace.WorkloadScale`)
-and publishes pickles atomically, so any number of workers can share one
-generation.  The sweep runner additionally pre-warms every unique trace
-before fanning out simulations, making "generated once" a guarantee
-rather than a race whose loser does redundant work.
+and publishes ``{key}.npz`` archives in :mod:`repro.workloads.export`'s
+format atomically, so any number of workers can share one generation.
+The sweep runner additionally pre-warms every unique trace before
+fanning out simulations, making "generated once" a guarantee rather
+than a race whose loser does redundant work.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import pickle
 import tempfile
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from ..workloads.export import load_trace, save_trace
 from ..workloads.registry import generate
 from ..workloads.trace import WorkloadScale, WorkloadTrace
 from .spec import SPEC_VERSION, content_key
@@ -49,27 +52,34 @@ class TraceStore:
         })
 
     def path_for(self, key: str) -> Path:
-        return self.traces_dir / f"{key}.pkl"
+        return self.traces_dir / f"{key}.npz"
 
     # ------------------------------------------------------------------
     def _load(self, key: str) -> Optional[WorkloadTrace]:
+        """The archived trace, or ``None`` when it is missing or unreadable
+        (a torn or foreign archive, another format version, a malformed
+        stream): a miss, regenerated over it."""
         try:
-            with open(self.path_for(key), "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            return load_trace(self.path_for(key))
+        except (OSError, EOFError, KeyError, ValueError,
+                zipfile.BadZipFile, zlib.error):
             return None
 
     def _save(self, key: str, trace: WorkloadTrace) -> None:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # The temp name ends in ``.npz`` so ``np.savez`` appends nothing.
         fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
+            dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp.npz"
         )
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(trace, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                handle.flush()
-                os.fsync(handle.fileno())
+            os.close(fd)
+            save_trace(trace, tmp_name)
+            fd = os.open(tmp_name, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -115,16 +125,21 @@ class TraceStore:
         return trace, False
 
     def clear(self) -> int:
-        """Delete every cached trace; returns how many were removed."""
+        """Delete every cached trace; returns how many were removed.
+
+        Pickled traces (``*.pkl``) from before the ``.npz`` store are
+        never read, and go too.
+        """
         self._memo.clear()
         removed = 0
         if self.traces_dir.is_dir():
-            for path in self.traces_dir.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            for pattern in ("*.npz", "*.pkl"):
+                for path in self.traces_dir.glob(pattern):
+                    try:
+                        path.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
         return removed
 
     def purge_temp(self) -> int:
@@ -134,7 +149,8 @@ class TraceStore:
         """
         removed = 0
         if self.traces_dir.is_dir():
-            for path in self.traces_dir.glob(".*.tmp"):
+            # ``.tmp.npz`` archives, and ``.tmp`` pickles of older stores.
+            for path in self.traces_dir.glob(".*.tmp*"):
                 try:
                     path.unlink()
                     removed += 1

@@ -4,7 +4,9 @@ Generating the GAPBS traversal traces takes seconds at large scales;
 saving a generated :class:`~repro.workloads.trace.WorkloadTrace` to an
 ``.npz`` archive lets sweeps and CI reuse identical inputs (and lets users
 replay traces captured elsewhere, Pin-style, as long as they convert to
-the record format).
+the record format).  The archive holds each host's stream array as it is
+(``stream{host}``, ``(n, 4)`` int64) plus a ``meta_json`` byte array; the
+sweep's :class:`~repro.sweep.traces.TraceStore` keeps its traces in it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ FORMAT_VERSION = 1
 def save_trace(trace: WorkloadTrace, path: Union[str, Path]) -> Path:
     """Serialize ``trace`` to a compressed ``.npz`` archive."""
     path = Path(path)
-    arrays = {}
-    for host, stream in enumerate(trace.streams):
-        arrays[f"stream{host}"] = np.asarray(stream, dtype=np.int64)
+    arrays = {
+        f"stream{host}": stream for host, stream in enumerate(trace.streams)
+    }
     meta = {
         "version": FORMAT_VERSION,
         "name": trace.name,
@@ -52,21 +54,20 @@ def save_trace(trace: WorkloadTrace, path: Union[str, Path]) -> Path:
 
 
 def load_trace(path: Union[str, Path]) -> WorkloadTrace:
-    """Load a trace previously written by :func:`save_trace`."""
+    """Load a trace previously written by :func:`save_trace`.
+
+    Each stream array goes to :class:`WorkloadTrace` as read, which
+    rejects one that is not ``(n, 4)`` integers.
+    """
     with np.load(Path(path)) as archive:
         meta = json.loads(bytes(archive["meta_json"]).decode())
         if meta.get("version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trace format version {meta.get('version')!r}"
             )
-        streams = []
-        for host in range(meta["num_hosts"]):
-            array = archive[f"stream{host}"]
-            if array.ndim != 2 or array.shape[1] != 4:
-                raise ValueError(
-                    f"stream{host} must be (N, 4), got {array.shape}"
-                )
-            streams.append([tuple(int(x) for x in row) for row in array])
+        streams = [
+            archive[f"stream{host}"] for host in range(meta["num_hosts"])
+        ]
     return WorkloadTrace(
         name=meta["name"],
         num_hosts=meta["num_hosts"],

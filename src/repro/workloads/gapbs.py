@@ -30,7 +30,7 @@ from .graph import (
     layout_graph,
     line_sample,
 )
-from .trace import AccessRecord, StreamBuilder, WorkloadTrace
+from .trace import StreamBuilder, WorkloadTrace
 
 #: Vertices processed per emission chunk.
 CHUNK = 64
@@ -77,7 +77,7 @@ class _GapbsEmitter:
         host: int,
         emit_chunk: Callable[[np.ndarray], "tuple[np.ndarray, np.ndarray]"],
         mean_gap: int = 9,
-    ) -> List[AccessRecord]:
+    ) -> np.ndarray:
         ctx = self.ctx
         budget = ctx.scale.accesses_per_host
         part = _partition_bounds(self.graph.num_vertices, host, ctx.num_hosts)

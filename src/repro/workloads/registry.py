@@ -117,9 +117,9 @@ def generate(
     trace = info.generator(ctx)
     # The generators' numpy scratch (several times the footprint for the
     # graph workloads) mostly lands in the C heap, and the heap only
-    # shrinks from its top: when one of the trace's lists is placed above
+    # shrinks from its top: when one of the trace's arrays is placed above
     # the freed scratch, all of it stays resident for the rest of the run.
-    # Where the list lands depends on everything allocated before, down
+    # Where the array lands depends on everything allocated before, down
     # to the length of the checkout's path, so hand the free pages back
     # here and the footprint of a run no longer depends on it.
     if _malloc_trim is not None:

@@ -1,9 +1,10 @@
 """Trace format and stream-synthesis machinery.
 
-A :class:`WorkloadTrace` holds one access stream per host.  Each record is
-a plain tuple ``(gap_instructions, byte_address, is_write, core)`` — the
-simulator hot loop iterates millions of these, so they stay tuples rather
-than objects.
+A :class:`WorkloadTrace` holds one access stream per host.  Each stream is
+one C-contiguous ``(n, 4)`` int64 array whose rows are the records
+``(gap_instructions, byte_address, is_write, core)``: 32 bytes a record,
+the layout :mod:`repro.workloads.export` archives.  The engine bakes the
+columns once into its own run-loop tuples.
 
 Streams are synthesized from *mixture components*: cyclic sequential scans,
 zipfian random accesses, and strided walks over named regions of the shared
@@ -13,7 +14,6 @@ probabilistically with a seeded RNG so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
@@ -22,8 +22,11 @@ import numpy as np
 from .. import units
 from ..mem.address import Region
 
-#: One trace record: (gap_instructions, byte_address, is_write, core).
+#: One trace record: (gap_instructions, byte_address, is_write, core), a
+#: row of a stream array; hand-built traces may pass lists of these.
 AccessRecord = Tuple[int, int, int, int]
+
+_FIELDS = "(gap, address, is_write, core)"
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,57 @@ class WorkloadScale:
                    seed=7)
 
 
+def _as_stream(records, where: str) -> np.ndarray:
+    """``records`` as a C-contiguous ``(n, 4)`` int64 stream array.
+
+    Takes an ``(n, 4)`` integer array (returned as is when it is already
+    contiguous int64) or a sequence of 4-field records.
+    """
+    if isinstance(records, np.ndarray):
+        if records.ndim != 2 or records.shape[1] != 4:
+            raise ValueError(
+                f"{where} records must have 4 fields {_FIELDS}; got an "
+                f"array of shape {records.shape}"
+            )
+        if not np.can_cast(records.dtype, np.int64):
+            raise ValueError(
+                f"{where} records must cast safely to int64; got an "
+                f"array of {records.dtype}"
+            )
+        return np.ascontiguousarray(records, dtype=np.int64)
+    widths = set(map(len, records))
+    if widths - {4}:
+        raise ValueError(
+            f"{where} records must have 4 fields {_FIELDS}; found widths "
+            f"{sorted(widths)}"
+        )
+    return np.array(records, dtype=np.int64).reshape(-1, 4)
+
+
 @dataclass
 class WorkloadTrace:
-    """A complete multi-host workload: metadata + per-host streams."""
+    """A complete multi-host workload: metadata + per-host streams.
+
+    Each of ``streams`` is a C-contiguous ``(n, 4)`` int64 array.  The
+    constructor also takes a hand-built sequence of 4-field records per
+    host and converts it; a record or array of any other width raises
+    ``ValueError``.
+    """
 
     name: str
     num_hosts: int
-    streams: List[List[AccessRecord]]
+    streams: List[np.ndarray]
     footprint_bytes: int
     regions: List[Region] = field(default_factory=list)
     mlp: float = 4.0
     read_write_ratio: float = 0.8  # fraction of reads, informational
     description: str = ""
+
+    def __post_init__(self) -> None:
+        self.streams = [
+            _as_stream(stream, f"{self.name}: host {host}")
+            for host, stream in enumerate(self.streams)
+        ]
 
     @property
     def total_accesses(self) -> int:
@@ -90,37 +132,25 @@ class WorkloadTrace:
 
     @property
     def total_instructions(self) -> int:
-        return sum(sum(rec[0] for rec in s) for s in self.streams)
+        return sum(int(s[:, 0].sum()) for s in self.streams)
 
     def baked_arrays(self, host: int, ns_per_instr: float) -> "BakedStream":
         """``streams[host]`` as a structure-of-arrays :class:`BakedStream`.
 
-        The instruction gap is pre-multiplied into compute nanoseconds (one
-        vectorized multiply at load instead of per access) and the write
-        flag becomes a real bool array; :meth:`BakedStream.records` unpacks
-        the arrays into the engine's run-loop tuples.  Raises
-        ``ValueError`` when a record does not have exactly four fields.
+        The integer columns are views of the stream array.  The instruction
+        gap is pre-multiplied into compute nanoseconds (one vectorized
+        multiply at load instead of per access) and the write flag becomes
+        a real bool array; :meth:`BakedStream.records` unpacks the arrays
+        into the engine's run-loop tuples.
         """
         stream = self.streams[host]
-        widths = set(map(len, stream))
-        if widths - {4}:
-            raise ValueError(
-                f"{self.name}: host {host} records must have 4 fields "
-                f"(gap, address, is_write, core); found widths "
-                f"{sorted(widths)}"
-            )
-        raw = np.fromiter(
-            itertools.chain.from_iterable(stream),
-            dtype=np.int64,
-            count=4 * len(stream),
-        ).reshape(-1, 4)
-        gap = raw[:, 0]
+        gap = stream[:, 0]
         return BakedStream(
             gap=gap,
             compute_ns=gap * float(ns_per_instr),
-            addr=np.ascontiguousarray(raw[:, 1]),
-            is_write=raw[:, 2] != 0,
-            core=np.ascontiguousarray(raw[:, 3]),
+            addr=stream[:, 1],
+            is_write=stream[:, 2] != 0,
+            core=stream[:, 3],
         )
 
     def baked_stream(
@@ -130,20 +160,13 @@ class WorkloadTrace:
         of :meth:`baked_arrays`)."""
         return self.baked_arrays(host, ns_per_instr).records()
 
-    def validate(
-        self,
-        cxl_capacity: int,
-        total_capacity: int,
-        addr_arrays: Optional[Sequence[np.ndarray]] = None,
-    ) -> None:
+    def validate(self, cxl_capacity: int, total_capacity: int) -> None:
         """Check every address of every host stream against the physical map.
 
         Addresses must fall in the shared CXL pool ``[0, cxl_capacity)`` or
         inside the issuing host's *own* local window — an address in another
         host's window would silently be served as if it were requester-
-        private data.  Vectorized over the full streams; ``addr_arrays``
-        lets callers that already hold the baked SoA address arrays skip
-        rebuilding them.
+        private data.  Vectorized over each stream's address column.
         """
         if not 0 <= cxl_capacity <= total_capacity:
             raise ValueError(
@@ -159,12 +182,7 @@ class WorkloadTrace:
                 f" does not divide across {self.num_hosts} hosts"
             )
         for host, stream in enumerate(self.streams):
-            if not stream:
-                continue
-            if addr_arrays is not None:
-                addrs = addr_arrays[host]
-            else:
-                addrs = np.array([rec[1] for rec in stream], dtype=np.int64)
+            addrs = stream[:, 1]
             window_start = cxl_capacity + host * local_capacity
             window_end = window_start + local_capacity
             ok = (addrs >= 0) & (
@@ -191,8 +209,8 @@ class WorkloadTrace:
 class BakedStream:
     """One host's stream as parallel numpy arrays (structure of arrays).
 
-    ``gap`` is the int64 instruction gap column, ``compute_ns`` is float64
-    (gap * ns_per_instruction), ``addr``/``core`` are int64 and
+    ``gap``, ``addr`` and ``core`` are int64 column views of the trace's
+    stream, ``compute_ns`` is float64 (gap * ns_per_instruction) and
     ``is_write`` is bool.
     """
 
@@ -296,8 +314,9 @@ class StreamBuilder:
 
     def build(
         self, components: Sequence[MixtureComponent], length: int
-    ) -> List[AccessRecord]:
-        """Synthesize ``length`` records by weighted component interleaving."""
+    ) -> np.ndarray:
+        """Synthesize a ``length``-record stream by weighted component
+        interleaving."""
         if not components:
             raise ValueError("need at least one mixture component")
         weights = np.array([c.weight for c in components], dtype=np.float64)
@@ -324,26 +343,26 @@ class StreamBuilder:
                     self.rng.random(count) < comp.write_fraction
                 ).astype(np.int64)
 
-        gaps = self.rng.geometric(1.0 / self.mean_gap, size=length)
-        cores = np.arange(length, dtype=np.int64) % self.cores
-        return list(zip(gaps.tolist(), addrs.tolist(),
-                        writes.tolist(), cores.tolist()))
+        return self.from_arrays(addrs, writes)
 
     def from_arrays(
         self,
         addrs: np.ndarray,
         writes: np.ndarray,
         mean_gap: Optional[int] = None,
-    ) -> List[AccessRecord]:
-        """Wrap pre-computed address/write arrays into trace records."""
+    ) -> np.ndarray:
+        """Wrap pre-computed address/write arrays into a stream array,
+        drawing the instruction gaps and assigning cores round-robin."""
         if len(addrs) != len(writes):
             raise ValueError("addrs and writes must be the same length")
         gap = mean_gap if mean_gap is not None else self.mean_gap
-        gaps = self.rng.geometric(1.0 / gap, size=len(addrs))
-        cores = np.arange(len(addrs), dtype=np.int64) % self.cores
-        return list(zip(gaps.tolist(), np.asarray(addrs, dtype=np.int64).tolist(),
-                        np.asarray(writes, dtype=np.int64).tolist(),
-                        cores.tolist()))
+        length = len(addrs)
+        stream = np.empty((length, 4), dtype=np.int64)
+        stream[:, 0] = self.rng.geometric(1.0 / gap, size=length)
+        stream[:, 1] = addrs
+        stream[:, 2] = writes
+        stream[:, 3] = np.arange(length, dtype=np.int64) % self.cores
+        return stream
 
 
 def private_region(local_window: Tuple[int, int], size: int) -> Region:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import SystemConfig
 from repro.analysis.harmful import MigrationLedger, reference_latencies
 from repro.analysis.report import Table, format_series, format_table, geomean, mean
 

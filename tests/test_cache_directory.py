@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.directory import DirectoryEntry, SlicedDirectory
+from repro.cache.directory import SlicedDirectory
 
 
 class TestDirectory:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.replacement import LruPolicy, RandomPolicy, SrripPolicy, make_policy
-from repro.cache.sa_cache import CacheEntry, SetAssocCache, cache_from_geometry
+from repro.cache.sa_cache import SetAssocCache, cache_from_geometry
 
 
 class TestBasicOperations:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coherence.base_protocol import Action, BaseCxlDsmModel
+from repro.coherence.base_protocol import BaseCxlDsmModel
 from repro.coherence.checker import CheckResult, ModelChecker, check_protocol
 from repro.coherence.pipm_protocol import PipmModel
 

@@ -5,12 +5,10 @@ import pytest
 from repro.coherence.base_protocol import BaseCxlDsmModel
 from repro.coherence.litmus import (
     ALL_LITMUS,
-    LitmusOutcome,
     LitmusRunner,
     LitmusTest,
     coherence_order,
     message_passing,
-    run_all,
     store_buffering,
     verify_sequential_consistency,
 )

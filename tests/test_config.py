@@ -7,7 +7,6 @@ import pytest
 from repro import units
 from repro.config import (
     CacheConfig,
-    KernelMigrationConfig,
     PipmConfig,
     SystemConfig,
 )

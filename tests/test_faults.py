@@ -18,7 +18,6 @@ from repro.faults import (
     LinkTransferError,
     MessageFaultModel,
 )
-from repro.faults.injector import LinkFaultModel
 from repro.faults.watchdog import WatchdogError
 from repro.mem.cxl_link import TO_DEVICE, CxlLink
 from repro.policies import make_scheme

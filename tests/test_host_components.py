@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import CoreConfig, SystemConfig
+from repro.config import CoreConfig
 from repro.host.core import CoreModel
 from repro.host.host import Host
 from repro.host.page_table import PageTable, hosts_mapping

@@ -4,7 +4,6 @@ import pytest
 
 from repro import SystemConfig, WorkloadScale, compare_schemes, generate, simulate
 from repro.policies import SCHEME_CLASSES, make_scheme
-from repro.sim.harness import speedups_over_native
 from repro.sim.results import ServicePoint
 
 

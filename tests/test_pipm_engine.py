@@ -1,7 +1,5 @@
 """PIPM engine: promotion, incremental migration, migrate-back, revocation."""
 
-import pytest
-
 from repro import units
 from repro.config import PipmConfig
 from repro.pipm.engine import PipmEngine

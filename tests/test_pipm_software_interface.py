@@ -1,7 +1,5 @@
 """The Section 6 extension: software control over partial migration."""
 
-import pytest
-
 from repro import units
 from repro.config import PipmConfig
 from repro.pipm.engine import PipmEngine

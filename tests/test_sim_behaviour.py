@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SystemConfig, WorkloadScale, generate, make_scheme, simulate
+from repro import SystemConfig, WorkloadScale, generate, simulate
 from repro.analysis.breakdown import interval_breakdown
 from repro.policies import make_scheme as mk
 from repro.sim.system import MultiHostSystem

@@ -4,16 +4,13 @@ import pytest
 
 from repro import (
     SystemConfig,
-    WorkloadScale,
     compare_schemes,
-    generate,
     run_experiment,
     simulate,
 )
 from repro.policies import make_scheme
 from repro.sim.engine import SimulationEngine
 from repro.sim.harness import DEFAULT_SCHEMES, speedups_over_native
-from repro.sim.results import ServicePoint, SimulationResult
 from repro.sim.system import MultiHostSystem
 
 

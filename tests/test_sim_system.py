@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import units
 from repro.config import SystemConfig
 from repro.policies import make_scheme
 from repro.sim.results import ServicePoint

@@ -2,8 +2,6 @@
 
 import textwrap
 
-import pytest
-
 from repro.simcheck import lint_source
 from repro.simcheck.engine import LintEngine, all_rules, classify_scope
 

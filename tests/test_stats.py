@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats import Histogram, ScopedStats, StatRegistry, ratio
+from repro.stats import Histogram, StatRegistry, ratio
 
 
 class TestStatRegistry:

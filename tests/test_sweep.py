@@ -9,14 +9,17 @@ corrupted the file for everyone).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import multiprocessing
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro import FaultConfig, SystemConfig
+from repro import FaultConfig, SystemConfig, generate, make_scheme, simulate
 from repro.sim.results import SimulationResult
 from repro.sweep import (
     ExperimentSpec,
@@ -201,8 +204,11 @@ class TestTraceStore:
         fresh = TraceStore(tmp_path)
         again, hit = fresh.warm("pr", 4, 4, scale)
         assert hit
-        assert again.streams == trace.streams
+        assert len(again.streams) == len(trace.streams)
+        for a, b in zip(again.streams, trace.streams):
+            assert np.array_equal(a, b)
         assert again.footprint_bytes == trace.footprint_bytes
+        assert store.path_for(store.key_for("pr", 4, 4, scale)).is_file()
 
     def test_memo_hit(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -217,6 +223,69 @@ class TestTraceStore:
                 != TraceStore.key_for("pr", 2, 4, tiny))
         assert (TraceStore.key_for("pr", 4, 4, tiny)
                 != TraceStore.key_for("pr", 4, 4, WorkloadScale.small()))
+
+    def test_stale_pickle_ignored(self, tmp_path):
+        # A pickle at the key, as the store once wrote: unpickling skips
+        # WorkloadTrace's constructor, so its tuple-list streams would
+        # reach the engine unconverted.  The store never reads it.
+        scale = WorkloadScale.tiny()
+        fresh = generate("ycsb", num_hosts=4, scale=scale)
+        stale = copy.copy(fresh)
+        stale.__dict__["streams"] = [
+            [tuple(rec) for rec in s.tolist()] for s in fresh.streams
+        ]
+        store = TraceStore(tmp_path)
+        key = store.key_for("ycsb", 4, 4, scale)
+        store.traces_dir.mkdir(parents=True)
+        with open(store.traces_dir / f"{key}.pkl", "wb") as handle:
+            pickle.dump(stale, handle)
+        trace, hit = store.warm("ycsb", 4, 4, scale)
+        assert not hit
+        assert all(isinstance(s, np.ndarray) for s in trace.streams)
+        config = SystemConfig.scaled()
+        assert (
+            simulate(trace, make_scheme("native"), config).to_record()
+            == simulate(fresh, make_scheme("native"), config).to_record()
+        )
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "version", "shape"]
+    )
+    def test_unreadable_archive_is_a_miss(self, tmp_path, damage):
+        scale = WorkloadScale.tiny()
+        store = TraceStore(tmp_path)
+        trace, _ = store.warm("ycsb", 4, 4, scale)
+        path = store.path_for(store.key_for("ycsb", 4, 4, scale))
+        if damage == "truncated":
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "garbage":
+            path.write_bytes(b"not an archive")
+        else:
+            with np.load(path) as archive:
+                arrays = dict(archive)
+            if damage == "version":
+                meta = json.loads(bytes(arrays["meta_json"]).decode())
+                meta["version"] = 99
+                arrays["meta_json"] = np.frombuffer(
+                    json.dumps(meta).encode(), dtype=np.uint8
+                )
+            else:
+                arrays["stream2"] = arrays["stream2"][:, :3]
+            np.savez_compressed(path, **arrays)
+        again, hit = TraceStore(tmp_path).warm("ycsb", 4, 4, scale)
+        assert not hit
+        for a, b in zip(again.streams, trace.streams):
+            assert np.array_equal(a, b)
+        # The regenerated trace was published over the damaged file.
+        assert TraceStore(tmp_path).warm("ycsb", 4, 4, scale)[1]
+
+    def test_clear_removes_archives_and_pickles(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.warm("ycsb", 4, 4, WorkloadScale.tiny())
+        (store.traces_dir / "old.pkl").write_bytes(b"stale")
+        assert store.clear() == 2
+        assert list(store.traces_dir.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

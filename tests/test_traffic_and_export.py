@@ -85,7 +85,9 @@ class TestTraceExport:
         assert loaded.num_hosts == trace.num_hosts
         assert loaded.footprint_bytes == trace.footprint_bytes
         assert loaded.mlp == trace.mlp
-        assert loaded.streams == trace.streams
+        assert len(loaded.streams) == len(trace.streams)
+        for a, b in zip(loaded.streams, trace.streams):
+            assert np.array_equal(a, b)
         assert [r.name for r in loaded.regions] == [
             r.name for r in trace.regions
         ]
@@ -106,6 +108,50 @@ class TestTraceExport:
         path = save_trace(trace, tmp_path / "noext")
         assert str(path).endswith(".npz")
         assert load_trace(str(tmp_path / "noext.npz")).name == "ycsb"
+
+    def test_loads_archive_of_record_lists(self, tmp_path):
+        # Archives written from tuple-list streams (one int64 (N, 4) array
+        # per host plus meta_json) read back unchanged: same format.
+        import json
+
+        trace = generate("ycsb", scale=WorkloadScale.tiny())
+        arrays = {
+            f"stream{h}": np.asarray(
+                [tuple(rec) for rec in s.tolist()], dtype=np.int64
+            )
+            for h, s in enumerate(trace.streams)
+        }
+        meta = {
+            "version": 1,
+            "name": trace.name,
+            "num_hosts": trace.num_hosts,
+            "footprint_bytes": trace.footprint_bytes,
+            "mlp": trace.mlp,
+            "read_write_ratio": trace.read_write_ratio,
+            "description": trace.description,
+            "regions": [
+                {"name": r.name, "start": r.start, "size": r.size}
+                for r in trace.regions
+            ],
+        }
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8
+        )
+        path = tmp_path / "records.npz"
+        np.savez_compressed(path, **arrays)
+        loaded = load_trace(path)
+        assert loaded.num_hosts == trace.num_hosts
+        assert loaded.regions == trace.regions
+        for a, b in zip(loaded.streams, trace.streams):
+            assert a.dtype == np.int64 and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+
+    def test_malformed_stream_rejected(self, tmp_path):
+        trace = generate("ycsb", scale=WorkloadScale.tiny())
+        trace.streams[1] = trace.streams[1][:, :3]
+        path = save_trace(trace, tmp_path / "narrow.npz")
+        with pytest.raises(ValueError, match="4 fields"):
+            load_trace(path)
 
     def test_bad_version_rejected(self, tmp_path):
         import json

@@ -6,7 +6,6 @@ import platform
 import numpy as np
 import pytest
 
-from repro import units
 from repro.workloads import WorkloadScale, generate, workload_names
 from repro.workloads import registry
 from repro.workloads.registry import WORKLOADS
@@ -115,7 +114,27 @@ class TestEveryGenerator:
     def test_deterministic(self, name):
         a = generate(name, scale=SCALE)
         b = generate(name, scale=SCALE)
-        assert a.streams[0][:50] == b.streams[0][:50]
+        assert len(a.streams) == len(b.streams)
+        for x, y in zip(a.streams, b.streams):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_stream_layout(self, all_traces, name):
+        for stream in all_traces[name].streams:
+            assert isinstance(stream, np.ndarray)
+            assert stream.dtype == np.int64
+            assert stream.flags.c_contiguous
+            assert stream.shape == (SCALE.accesses_per_host, 4)
+            assert stream.nbytes == 32 * len(stream)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_total_instructions_is_record_sum(self, all_traces, name):
+        trace = all_traces[name]
+        assert isinstance(trace.total_instructions, int)
+        assert trace.total_instructions == sum(
+            gap for stream in trace.streams
+            for gap, _, _, _ in stream.tolist()
+        )
 
 
 class TestSharingStructure:

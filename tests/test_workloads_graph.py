@@ -6,7 +6,6 @@ import pytest
 from repro import units
 from repro.mem.address import HeapAllocator
 from repro.workloads.graph import (
-    CsrGraph,
     graph_for_footprint,
     layout_graph,
     line_sample,

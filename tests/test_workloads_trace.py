@@ -221,15 +221,73 @@ class TestBakedStream:
             [(2, 128, 1, 0), (5, 4096, 0, 1, 9)],
             # Twelve fields in all: they would reshape to 3 records of 4.
             [(2, 128, 1)] * 4,
+            np.zeros((4, 3), dtype=np.int64),
+            np.zeros((2, 5), dtype=np.int64),
+            np.zeros(8, dtype=np.int64),
         ],
-        ids=["short", "long", "all-short"],
+        ids=["short", "long", "all-short", "array-3", "array-5", "array-1d"],
     )
     def test_malformed_record_rejected(self, stream):
-        trace = WorkloadTrace(
-            name="t", num_hosts=1, streams=[stream], footprint_bytes=8192,
-        )
+        # The width check runs when the trace is built, before any bake.
         with pytest.raises(ValueError, match="4 fields"):
-            trace.baked_arrays(0, ns_per_instr=0.5)
+            WorkloadTrace(
+                name="t", num_hosts=1, streams=[stream],
+                footprint_bytes=8192,
+            )
+
+
+class TestStreamLayout:
+    """Every stream is one C-contiguous (n, 4) int64 array."""
+
+    RECORDS = [(2, 128, 1, 0), (5, 4096, 0, 1), (1, 64, 0, 3)]
+
+    def _trace(self, *streams) -> WorkloadTrace:
+        return WorkloadTrace(
+            name="t", num_hosts=len(streams), streams=list(streams),
+            footprint_bytes=8192,
+        )
+
+    @staticmethod
+    def _assert_layout(stream, n):
+        assert isinstance(stream, np.ndarray)
+        assert stream.dtype == np.int64
+        assert stream.shape == (n, 4)
+        assert stream.flags.c_contiguous
+        assert stream.nbytes == 32 * n
+
+    def test_records_convert_to_the_array(self):
+        stream = self._trace(self.RECORDS).streams[0]
+        self._assert_layout(stream, 3)
+        assert np.array_equal(stream, np.array(self.RECORDS))
+        assert stream.tolist() == [list(rec) for rec in self.RECORDS]
+
+    def test_int64_array_kept_as_is(self):
+        array = np.array(self.RECORDS, dtype=np.int64)
+        assert self._trace(array).streams[0] is array
+
+    def test_other_layouts_become_int64_c_order(self):
+        narrow = np.array(self.RECORDS, dtype=np.int32)
+        strided = np.asfortranarray(np.array(self.RECORDS, dtype=np.int64))
+        for array in (narrow, strided):
+            stream = self._trace(array).streams[0]
+            self._assert_layout(stream, 3)
+            assert np.array_equal(stream, array)
+
+    def test_non_integer_array_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            self._trace(np.array(self.RECORDS, dtype=np.float64))
+
+    def test_empty_stream_shape(self):
+        trace = self._trace([], np.empty((0, 4), dtype=np.int64))
+        for stream in trace.streams:
+            self._assert_layout(stream, 0)
+        assert trace.total_accesses == 0
+
+    def test_bake_reads_column_views(self):
+        trace = self._trace(self.RECORDS)
+        baked = trace.baked_arrays(0, ns_per_instr=0.5)
+        for column in (baked.gap, baked.addr, baked.core):
+            assert np.shares_memory(column, trace.streams[0])
 
 
 class TestStreamBuilder:
@@ -263,7 +321,7 @@ class TestStreamBuilder:
         def run():
             builder = StreamBuilder(np.random.default_rng(7))
             return builder.build(self._components(region), 100)
-        assert run() == run()
+        assert np.array_equal(run(), run())
 
     def test_mean_gap_approx(self, region):
         builder = StreamBuilder(np.random.default_rng(0), mean_gap=12)
