@@ -877,9 +877,10 @@ class SimulationEngine:
         #: Accesses the fast lanes served in the last :meth:`run` (tooling
         #: only: not part of the result, so records do not depend on it).
         self.lane_accesses = 0
-        # Bake each host's stream array once into run-loop records.  The
-        # stream-wide sanity checks below are reductions over the
-        # stream's own columns (``validate`` reads the address column).
+        # Bake each host's stream array once into the run loop's four
+        # column lists.  The stream-wide sanity checks below are
+        # reductions over the stream's own columns (``validate`` reads
+        # the address column).
         total = 0
         self._run_streams = []
         self._instr_totals = []
@@ -895,7 +896,7 @@ class SimulationEngine:
                     f"({baked.gap[index]} instructions); simulated time "
                     f"cannot run backwards"
                 )
-            self._run_streams.append(baked.records())
+            self._run_streams.append(baked.columns())
             self._instr_totals.append(int(baked.gap.sum()))
         if total == 0:
             raise ValueError(
@@ -930,7 +931,7 @@ class SimulationEngine:
         access = system.access
         heappop = heapq.heappop
         heappushpop = heapq.heappushpop
-        lens = [len(stream) for stream in streams]
+        lens = [len(cns) for cns, _, _, _ in streams]
         inv_mlp = [host.core.inv_mlp for host in hosts]
         access_counts = [0] * len(hosts)
         lane_accesses = 0
@@ -939,9 +940,9 @@ class SimulationEngine:
         inf = math.inf
         poisoned = injector.poisoned if check_poison else None
 
-        # Each host's fast lane, resolved once: its record stream, the
-        # per-core L1 set dicts, the TLB set dicts and its flat miss path,
-        # so a lane turn costs one tuple unpack instead of a pile of
+        # Each host's fast lane, resolved once: its four record columns,
+        # the per-core L1 set dicts, the TLB set dicts and its flat miss
+        # path, so a lane turn costs one tuple unpack instead of a pile of
         # attribute lookups.  ``None`` = no lane: every access of that
         # host takes the slow path.
         lanes = [None] * len(hosts)
@@ -955,7 +956,7 @@ class SimulationEngine:
                 flushes.append(flush)
                 tlb_cache = host.tlb._cache
                 lanes[host_id] = (
-                    streams[host_id],
+                    *streams[host_id],
                     lens[host_id],
                     [(l1, l1._sets, l1._mask) for l1 in host.l1s],
                     len(host.l1s),
@@ -973,7 +974,7 @@ class SimulationEngine:
         heap = [
             (hosts[h].clock_ns, h, 0)
             for h in range(len(streams))
-            if streams[h]
+            if lens[h]
         ]
         heapq.heapify(heap)
         item = heappop(heap)
@@ -1023,8 +1024,8 @@ class SimulationEngine:
                 # only while this host would still win (strictly) the
                 # heappushpop.  Falling out of the lane is always safe:
                 # the slow path below re-examines the access from scratch.
-                (rec, length, l1m, n_l1, tlb_cache, tlb_sets, tlb_mask,
-                 tlb_ways, flat) = lane
+                (cns, addrs, writes, cores, length, l1m, n_l1, tlb_cache,
+                 tlb_sets, tlb_mask, tlb_ways, flat) = lane
                 heap_bound = heap[0][0] if heap else inf
                 event_bound = inf
                 if bounded:
@@ -1042,31 +1043,36 @@ class SimulationEngine:
                         event_bound = injector.next_crash_ns
                 consumed = 0
                 l1_count = 0
+                bailed = False
                 while index < length:
-                    compute_ns, addr, is_write, core = rec[index]
-                    now = host_clock + compute_ns
-                    if now >= event_bound:
-                        break
                     if consumed and host_clock >= heap_bound:
                         break
+                    now = host_clock + cns[index]
+                    if now >= event_bound:
+                        break
+                    addr = addrs[index]
                     line = addr >> _LINE_SHIFT
                     if poisoned and line in poisoned:
+                        bailed = True
                         break
-                    l1, l1_sets, l1_mask = l1m[core % n_l1]
+                    l1, l1_sets, l1_mask = l1m[cores[index] % n_l1]
                     cache_set = l1_sets[line & l1_mask]
                     entry = cache_set.get(line)
                     if entry is None:
                         # L1 miss: the flat path resolves it end to end,
                         # or returns None and leaves it to the slow path
                         # with nothing mutated.
-                        hc = flat(l1, cache_set, addr, line, is_write, now)
+                        hc = flat(
+                            l1, cache_set, addr, line, writes[index], now
+                        )
                         if hc is None:
+                            bailed = True
                             break
                         host_clock = hc
                         index += 1
                         consumed += 1
                         continue
-                    if is_write:
+                    if writes[index]:
                         if (
                             addr < cxl_end
                             and not entry.dirty
@@ -1074,6 +1080,7 @@ class SimulationEngine:
                         ):
                             # Write hit on a Shared copy: the S -> M
                             # upgrade invalidates other hosts.
+                            bailed = True
                             break
                         entry.dirty = True
                     # Commit the hit: exactly the slow path's move-to-end
@@ -1105,17 +1112,22 @@ class SimulationEngine:
                     access_counts[host_id] += consumed
                     lane_accesses += consumed
                     host.clock_ns = host_clock
-                    if index < length:
+                    if index == length:
+                        if heap:
+                            item = heappop(heap)
+                            continue
+                        break
+                    if not bailed:
                         item = heappushpop(heap, (host_clock, host_id, index))
                         continue
-                    if heap:
-                        item = heappop(heap)
-                        continue
-                    break
+                    # A bail: the host passed the heap bound just before
+                    # it, so it still holds the turn, and its next turn
+                    # would only probe this access again.  The slow path
+                    # takes it now.
 
             # ---- serialized slow path ----------------------------------
-            compute_ns, addr, is_write, core = streams[host_id][index]
-            now = host_clock + compute_ns
+            cns, addrs, writes, cores = streams[host_id]
+            now = host_clock + cns[index]
             host.clock_ns = now
             if eventful:
                 if check_crash:
@@ -1130,7 +1142,9 @@ class SimulationEngine:
                     system.maybe_tick(now)
                 if check_watchdog:
                     watchdog.maybe_audit(now)
-            latency, service = access(host_id, core, addr, is_write, now)
+            latency, service = access(
+                host_id, cores[index], addrs[index], writes[index], now
+            )
             access_counts[host_id] += 1
             if service != svc_l1:
                 stall = latency * inv_mlp[host_id]

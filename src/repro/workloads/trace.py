@@ -4,7 +4,7 @@ A :class:`WorkloadTrace` holds one access stream per host.  Each stream is
 one C-contiguous ``(n, 4)`` int64 array whose rows are the records
 ``(gap_instructions, byte_address, is_write, core)``: 32 bytes a record,
 the layout :mod:`repro.workloads.export` archives.  The engine bakes the
-columns once into its own run-loop tuples.
+columns once into its own run-loop lists (:meth:`BakedStream.columns`).
 
 Streams are synthesized from *mixture components*: cyclic sequential scans,
 zipfian random accesses, and strided walks over named regions of the shared
@@ -140,8 +140,8 @@ class WorkloadTrace:
         The integer columns are views of the stream array.  The instruction
         gap is pre-multiplied into compute nanoseconds (one vectorized
         multiply at load instead of per access) and the write flag becomes
-        a real bool array; :meth:`BakedStream.records` unpacks the arrays
-        into the engine's run-loop tuples.
+        a real bool array; :meth:`BakedStream.columns` turns the arrays
+        into the engine's run-loop lists.
         """
         stream = self.streams[host]
         gap = stream[:, 0]
@@ -152,13 +152,6 @@ class WorkloadTrace:
             is_write=stream[:, 2] != 0,
             core=stream[:, 3],
         )
-
-    def baked_stream(
-        self, host: int, ns_per_instr: float
-    ) -> List[Tuple[float, int, bool, int]]:
-        """``streams[host]`` as flat run-loop records (the engine's view
-        of :meth:`baked_arrays`)."""
-        return self.baked_arrays(host, ns_per_instr).records()
 
     def validate(self, cxl_capacity: int, total_capacity: int) -> None:
         """Check every address of every host stream against the physical map.
@@ -223,16 +216,26 @@ class BakedStream:
     def __len__(self) -> int:
         return len(self.addr)
 
-    def records(self) -> List[Tuple[float, int, bool, int]]:
-        """Flat ``(compute_ns, addr, is_write, core)`` tuples.
+    def columns(self) -> Tuple[List[float], List[int], List[bool], List[int]]:
+        """The run loop's ``(compute_ns, addr, is_write, core)`` lists.
 
-        ``ndarray.tolist`` hands back native Python floats/ints/bools with
-        exactly the values the arrays hold.
+        Equal values share one Python object: compute ns and addresses
+        hold one float or int per distinct value, the flags and cores are
+        the interpreter's own bools and small ints.  A record costs its
+        four list slots (32 bytes), not a tuple of four fresh objects.
         """
-        return list(zip(
-            self.compute_ns.tolist(), self.addr.tolist(),
-            self.is_write.tolist(), self.core.tolist(),
-        ))
+        return (
+            _shared_values(self.compute_ns),
+            _shared_values(self.addr),
+            self.is_write.tolist(),
+            self.core.tolist(),
+        )
+
+
+def _shared_values(column: np.ndarray) -> list:
+    """``column.tolist()`` with one Python object per distinct value."""
+    distinct, where = np.unique(column, return_inverse=True)
+    return distinct.astype(object)[where].tolist()
 
 
 @dataclass(frozen=True)

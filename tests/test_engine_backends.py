@@ -279,6 +279,40 @@ class TestLaneShare:
         assert calls <= 2 * (result.accesses - engine.lane_accesses)
 
 
+class TestLaneBail:
+    # A lane that has served an access and then stops on one it cannot
+    # serve still holds the heap turn, so the slow path takes that access
+    # at once.  Sending the host back through the heap made its next turn
+    # probe the same access again first: 1,309 repeated flat calls here
+    # for memtis, 1,637 for pipm.
+    @pytest.mark.parametrize("scheme", ["memtis", "pipm"])
+    def test_bailed_access_probed_once(self, scheme, monkeypatch):
+        bails = repeats = 0
+
+        def probing(system, host_id, stall_by_service):
+            made = _make_flat_path(system, host_id, stall_by_service)
+            if made is None:
+                return None
+            flat, flush = made
+            last = None
+
+            def probed(l1, cache_set, addr, line, is_write, now):
+                nonlocal bails, repeats, last
+                repeats += (addr, now) == last
+                last = (addr, now)
+                out = flat(l1, cache_set, addr, line, is_write, now)
+                bails += out is None
+                return out
+
+            return probed, flush
+
+        monkeypatch.setattr(engine_module, "_make_flat_path", probing)
+        config = SystemConfig.scaled()
+        _engine(_trace("ycsb", config), scheme, config).run()
+        assert bails > 0
+        assert repeats == 0
+
+
 # ----------------------------------------------------------------------
 # Differential fuzz: lane on == lane off, records, registry and caches
 # ----------------------------------------------------------------------

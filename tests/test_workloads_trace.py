@@ -208,11 +208,28 @@ class TestBakedStream:
         assert baked.gap.tolist() == [2, 5, 1]
 
     def test_records_round_trip(self):
-        trace = self._trace()
-        baked = trace.baked_arrays(0, ns_per_instr=0.5)
-        records = baked.records()
-        assert records == trace.baked_stream(0, ns_per_instr=0.5)
-        assert all(isinstance(w, bool) for _, _, w, _ in records)
+        # Repeated gaps and addresses (above the interpreter's small-int
+        # cache) with a per-instruction time that rounds.
+        stream = [(3, 1 << 20, 1, 0), (7, 4096, 0, 1), (3, 1 << 20, 0, 2),
+                  (7, 4096, 1, 3), (1, 1 << 20, 0, 0)]
+        trace = WorkloadTrace(
+            name="t", num_hosts=1, streams=[stream],
+            footprint_bytes=2 << 20,
+        )
+        ns_per_instr = 1 / 2.7
+        baked = trace.baked_arrays(0, ns_per_instr)
+        cns, addrs, writes, cores = baked.columns()
+        gap, addr, is_write, core = trace.streams[0].T.tolist()
+        assert [ns.hex() for ns in cns] == [
+            (g * ns_per_instr).hex() for g in gap
+        ]
+        assert addrs == addr
+        assert writes == [bool(w) for w in is_write]
+        assert all(isinstance(w, bool) for w in writes)
+        assert cores == core
+        # Equal values are one object.
+        for column in (cns, addrs):
+            assert len({id(value) for value in column}) == len(set(column))
 
     @pytest.mark.parametrize(
         "stream",
