@@ -30,7 +30,6 @@ from .faults import (
     FaultPlan,
     InvariantWatchdog,
     LinkTransferError,
-    MessageFaultModel,
 )
 from .sim import (
     MultiHostSystem,
@@ -59,7 +58,6 @@ __all__ = [
     "FaultPlan",
     "InvariantWatchdog",
     "LinkTransferError",
-    "MessageFaultModel",
     "KernelMigrationConfig",
     "PipmConfig",
     "SystemConfig",

@@ -89,7 +89,6 @@ _FAULT_LABELS = (
     ("fault_crash_recovery_ns", "  crash recovery time (ns)"),
     ("fault_crash_down_ns", "  host-down time (ns)"),
     ("fault_governor_skips", "governor-suppressed promotions"),
-    ("fault_sabotaged_rollbacks", "sabotaged rollbacks"),
     ("watchdog_violations", "watchdog violations"),
 )
 

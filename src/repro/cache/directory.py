@@ -1,8 +1,7 @@
 """Sliced set-associative coherence directory.
 
-Models both the device coherence directory on the CXL memory node
-(2048 sets x 16 ways x 16 slices in Table 2) and, with a single slice,
-each host's local coherence directory.  Entries track the MESI-style state
+Models the device coherence directory on the CXL memory node (2048 sets
+x 16 ways x 16 slices in Table 2).  Entries track the MESI-style state
 plus the sharer set; capacity evictions surface the victim so the owner
 can back-invalidate the corresponding cache lines (a real constraint the
 paper leans on: PIPM-migrated lines stop consuming device directory

@@ -11,8 +11,6 @@ Commands
               spool directory through the sweep runner, park failures
               in rejected/, resume after kill -9, drain gracefully on
               SIGTERM
-``soak``      randomized chaos testing under the fail-fast invariant
-              watchdog, with failing-schedule minimization
 ``check``     model-check the coherence protocols (the Murphi step)
 ``lint``      static determinism and stats-discipline lints
 ``workloads`` print the Table 1 inventory
@@ -170,64 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     from .serve.cli import add_serve_arguments
 
     add_serve_arguments(serve)
-
-    soak = sub.add_parser(
-        "soak",
-        help="randomized chaos testing with failing-schedule minimization",
-        description=(
-            "Draw randomized fault schedules and workload/scheme pairs "
-            "from one seed, run each under the invariant watchdog in "
-            "fail-fast mode, and on any violation or crash delta-debug "
-            "the schedule down to a minimal reproducer JSON.  "
-            "'soak --replay <file>' re-executes a reproducer "
-            "deterministically."
-        ),
-    )
-    soak.add_argument("--seed", type=int, default=0,
-                      help="soak seed; every draw derives from it")
-    soak.add_argument("--trials", type=int, default=20,
-                      help="maximum trials to run (default: 20)")
-    soak.add_argument(
-        "--budget-s", type=float, default=120.0,
-        help="wall-clock budget; no new trial starts past it "
-             "(0 = unlimited; default: 120)",
-    )
-    soak.add_argument("--scale", default="tiny",
-                      choices=("tiny", "small", "default"),
-                      help="workload scale per trial (default: tiny)")
-    soak.add_argument("--hosts", type=int, default=4)
-    soak.add_argument("--workloads", default="pr,ycsb",
-                      help="comma-separated workload pool to draw from")
-    soak.add_argument("--schemes", default="pipm,memtis",
-                      help="comma-separated scheme pool to draw from")
-    soak.add_argument(
-        "--sabotage-rate", type=float, default=0.0, metavar="P",
-        help="probability a trial includes a deliberately botched "
-             "rollback (self-test of the detection pipeline; default: 0)",
-    )
-    soak.add_argument(
-        "--crash-rate", type=float, default=0.0, metavar="P",
-        help="probability a trial includes a host-crash clause "
-             "(seeded crash time, optional rejoin; default: 0)",
-    )
-    soak.add_argument(
-        "--minimize-budget", type=int, default=32,
-        help="max re-simulations delta debugging may spend (default: 32)",
-    )
-    soak.add_argument(
-        "--artifact-dir", default="soak-artifacts",
-        help="where reproducer JSONs are written (default: soak-artifacts)",
-    )
-    soak.add_argument(
-        "--replay", default=None, metavar="FILE",
-        help="re-execute a reproducer artifact instead of soaking; "
-             "exits 0 iff the recorded failure reproduces",
-    )
-    soak.add_argument(
-        "--expect-failure", action="store_true",
-        help="invert the exit code: succeed only if a failure was found "
-             "and its reproducer replay-verified (pipeline self-test)",
-    )
 
     check = sub.add_parser("check", help="model-check the protocols")
     check.add_argument("--hosts", type=int, default=3)
@@ -448,71 +388,6 @@ def _cmd_serve(args) -> int:
     return run_serve(args)
 
 
-def _cmd_soak(args) -> int:
-    from .soak import SoakHarness, replay_artifact
-
-    if args.replay is not None:
-        reproduced, actual = replay_artifact(args.replay)
-        if reproduced:
-            print(f"reproduced: {actual.exc_type} "
-                  f"[{', '.join(actual.kinds) or 'crash'}] — "
-                  f"{actual.message[:120]}")
-            return 0
-        if actual is None:
-            print("did NOT reproduce: the replayed run completed cleanly",
-                  file=sys.stderr)
-        else:
-            print(f"did NOT reproduce the recorded failure; got "
-                  f"{actual.exc_type}: {actual.message[:120]}",
-                  file=sys.stderr)
-        return 1
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    unknown = sorted(set(workloads) - set(workload_names()))
-    if unknown:
-        print(f"error: unknown workloads {unknown}", file=sys.stderr)
-        return 2
-    harness = SoakHarness(
-        seed=args.seed,
-        trials=args.trials,
-        budget_s=args.budget_s,
-        scale=args.scale,
-        num_hosts=args.hosts,
-        workloads=workloads,
-        schemes=schemes,
-        sabotage_rate=args.sabotage_rate,
-        crash_rate=args.crash_rate,
-        minimize_budget=args.minimize_budget,
-        artifact_dir=args.artifact_dir,
-    )
-    print(
-        f"soak: seed {args.seed}, up to {args.trials} trial(s) in "
-        f"{args.budget_s:g}s, scale {args.scale}, "
-        f"workloads {','.join(workloads)}, schemes {','.join(schemes)}"
-        + (f", sabotage rate {args.sabotage_rate:g}"
-           if args.sabotage_rate else "")
-        + (f", crash rate {args.crash_rate:g}" if args.crash_rate else "")
-    )
-    report = harness.run(progress=print)
-    if report.clean:
-        print(f"clean: {report.trials_run} trial(s) survived "
-              f"({report.wall_s:.1f}s)")
-        return 1 if args.expect_failure else 0
-    sig = report.signature
-    print(
-        f"failure at trial {report.trial_index}: {sig.exc_type} "
-        f"[{', '.join(sig.kinds) or 'crash'}]; schedule minimized "
-        f"{report.original_clause_count} -> {len(report.minimal_clauses)} "
-        f"clause(s) in {report.minimize_evaluations} evaluation(s); "
-        f"reproducer: {report.artifact_path} "
-        f"(replay {'verified' if report.replay_verified else 'FAILED'})"
-    )
-    if args.expect_failure:
-        return 0 if report.replay_verified else 1
-    return 2
-
-
 def _cmd_check(args) -> int:
     failures = 0
     models = [BaseCxlDsmModel(args.hosts)]
@@ -558,7 +433,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
-    "soak": _cmd_soak,
     "check": _cmd_check,
     "lint": _cmd_lint,
     "workloads": _cmd_workloads,

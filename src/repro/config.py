@@ -323,12 +323,6 @@ class FaultConfig:
     #: hold expires, so migration storms cannot thrash a flapping fabric.
     #: 0 preserves the pre-governor behaviour exactly.
     governor_hold_ns: float = 0.0
-    # -- deliberate corruption (chaos/soak testing only) -------------------
-    #: Number of migration rollbacks to deliberately botch: the global
-    #: remap entry is restored but the owner's local entry is not, leaving
-    #: cluster state inconsistent on purpose so the invariant watchdog's
-    #: detection path can be exercised end-to-end.  Never set by presets.
-    rollback_sabotage_count: int = 0
     # -- invariant watchdog ------------------------------------------------
     watchdog_period_ns: float = 0.0  # 0 = post-run audit only
     watchdog_mode: str = "log"  # "log" or "fail-fast"
@@ -432,8 +426,6 @@ class FaultConfig:
                 f"watchdog_mode must be 'log' or 'fail-fast', "
                 f"got {self.watchdog_mode!r}"
             )
-        if self.rollback_sabotage_count < 0:
-            raise ValueError("rollback_sabotage_count must be non-negative")
         if self.switch_down < -1:
             raise ValueError("switch_down must be -1 (off) or a switch index")
         if self.switch_down_latency_x < 1.0 or (
@@ -643,8 +635,8 @@ class SystemConfig:
     def from_dict(cls, data: Dict[str, Any]) -> "SystemConfig":
         """Rebuild a config from ``dataclasses.asdict`` output.
 
-        The inverse of the serialisation used by experiment specs and soak
-        reproducer artifacts: ``SystemConfig.from_dict(asdict(cfg)) == cfg``.
+        The inverse of the serialisation used by experiment specs and
+        serve's spool files: ``SystemConfig.from_dict(asdict(cfg)) == cfg``.
         """
         known = {f.name for f in dataclasses.fields(cls)}
         values: Dict[str, Any] = {}

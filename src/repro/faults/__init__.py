@@ -1,15 +1,13 @@
 """Fault injection and resilience: deterministic link/host/memory faults.
 
-The subsystem has four layers:
+The subsystem has three layers:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`: seed-derived, concrete
   fault events against simulated time;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: the runtime hooks
   links and the system model consult, plus :class:`FaultCounters`;
 * :mod:`repro.faults.watchdog` — :class:`InvariantWatchdog`: online audits
-  of remap-table / directory / frame consistency;
-* :mod:`repro.faults.protocol` — :class:`MessageFaultModel`: message-level
-  delivery faults for the coherence models (litmus under a lossy fabric).
+  of remap-table / directory / frame consistency.
 
 Configuration rides on :class:`repro.config.FaultConfig` (the ``faults``
 field of :class:`repro.config.SystemConfig`); ``FaultConfig.parse`` turns
@@ -29,7 +27,6 @@ from .plan import (
     LinkDegradeWindow,
     PoisonEvent,
 )
-from .protocol import MessageFaultModel
 from .watchdog import InvariantWatchdog, WatchdogError
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "LinkDegradeWindow",
     "LinkFaultModel",
     "LinkTransferError",
-    "MessageFaultModel",
     "PoisonEvent",
     "WatchdogError",
 ]

@@ -43,7 +43,6 @@ class FaultCounters:
     migration_timeouts: int = 0  # aborts caused by the transfer timeout
     rollbacks: int = 0  # remap-table snapshots restored
     degraded_skips: int = 0  # migration-policy work skipped on a degraded link
-    sabotaged_rollbacks: int = 0  # rollbacks deliberately botched (chaos)
     host_stall_ns: float = 0.0  # simulated time lost to host pauses
     poison_recoveries: int = 0  # poisoned-line scrub-and-refetch events
     recovery_ns: float = 0.0  # latency charged to fault recovery
@@ -172,8 +171,6 @@ class FaultInjector:
         #: Promotions stay blocked while ``now`` is below this.  The fast
         #: lane reads it live per access (see promotion_blocked).
         self._suspended_until = 0.0
-        # -- deliberate corruption (chaos/soak testing) ------------------
-        self._sabotage_remaining = plan.rollback_sabotage_budget
 
     # -- links -----------------------------------------------------------
     def link(self, host: int) -> Optional[LinkFaultModel]:
@@ -307,17 +304,3 @@ class FaultInjector:
         """Hold promotions suspended through ``until_ns`` (recovery)."""
         if until_ns > self._suspended_until:
             self._suspended_until = until_ns
-
-    # -- deliberate corruption (chaos/soak testing) -----------------------
-    def consume_rollback_sabotage(self) -> bool:
-        """True when the next migration rollback should be botched.
-
-        Each call consumes one unit of the plan's sabotage budget; the
-        caller corrupts the transaction before rolling back so the
-        invariant watchdog has a real inconsistency to detect.
-        """
-        if self._sabotage_remaining <= 0:
-            return False
-        self._sabotage_remaining -= 1
-        self.counters.sabotaged_rollbacks += 1
-        return True

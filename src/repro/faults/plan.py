@@ -225,17 +225,6 @@ class FaultPlan:
             self.degrade_windows
         )
 
-    @property
-    def rollback_sabotage_budget(self) -> int:
-        """Rollbacks to deliberately botch (chaos/soak testing only).
-
-        Sabotage piggybacks on migration aborts and crash-recovery
-        teardowns, which only occur while a disruption source is active,
-        so a nonzero budget on an otherwise idle plan never fires —
-        ``is_idle`` deliberately ignores it.
-        """
-        return self.config.rollback_sabotage_count
-
     def windows_for(self, host: int) -> List[LinkDegradeWindow]:
         return self.degrade_windows.get(host, [])
 

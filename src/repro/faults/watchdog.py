@@ -182,7 +182,7 @@ class InvariantWatchdog:
 
         Only meaningful once a crash has been observed; recovery must have
         left zero directory lines, remap entries, frames, or resident pages
-        naming the dead host.  A botched (sabotaged) recovery trips these.
+        naming the dead host.  A botched recovery trips these.
         """
         system = self.system
         injector = getattr(system, "injector", None)

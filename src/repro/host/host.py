@@ -1,15 +1,15 @@
-"""A compute host: cores, private L1s, shared LLC, local directory, DRAM.
+"""A compute host: cores, private L1s, shared LLC, TLB, local DRAM.
 
 The host owns all node-local structures; the :class:`repro.sim.system`
 model wires hosts to the CXL memory node and implements the coherence
-workflows across them.
+workflows across them.  The local coherence directory (Fig. 2) holds no
+state here: the system charges its lookup as ``local_dir_latency_ns``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..cache.directory import SlicedDirectory
 from ..cache.sa_cache import CacheEntry, SetAssocCache, cache_from_geometry
 from ..config import SystemConfig
 from ..mem.controller import MemoryController
@@ -42,13 +42,6 @@ class Host:
         ]
         self.llc = cache_from_geometry(
             config.llc.size_bytes, config.llc.ways, name=f"h{host_id}.llc"
-        )
-        # Per-processor local coherence directory (Fig. 2).  Sized to cover
-        # the host's cache hierarchy.
-        llc_lines = config.llc.size_bytes // config.llc.line_bytes
-        dir_sets = max(64, 1 << ((llc_lines // 16).bit_length() - 1))
-        self.local_dir = SlicedDirectory(
-            dir_sets, 16, 1, name=f"h{host_id}.localdir"
         )
         self.local_mem = MemoryController(
             config.local_dram, stats.scoped("local_mem")

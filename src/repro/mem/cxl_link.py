@@ -195,46 +195,11 @@ class CxlLink:
         request_bytes: int = units.CACHE_LINE,
         response_bytes: int = units.CACHE_LINE,
     ) -> float:
-        """Request to the device and response back, starting at ``now``."""
-        if (
-            self._faults is not None
-            or request_bytes <= 0
-            or response_bytes <= 0
-        ):
-            # Degraded/error handling lives in transfer(); this method only
-            # inlines the fault-free common case (one call per CXL access).
-            out = self.transfer(TO_DEVICE, now, request_bytes)
-            back = self.transfer(TO_HOST, now + out, response_bytes)
-            return out + back
-        busy_until = self._busy_until
-        bw = self._bw_bytes_ns
-        latency_ns = self._latency_ns
-
-        serialization = request_bytes * 1e9 / bw
-        busy = busy_until[TO_DEVICE]
-        if busy > now:
-            queue_delay = busy - now
-            busy_until[TO_DEVICE] = busy + serialization
-        else:
-            queue_delay = 0.0
-            busy_until[TO_DEVICE] = now + serialization
-        out = latency_ns + queue_delay + serialization
-        self._queue_ns.value += queue_delay
-
-        then = now + out
-        serialization = response_bytes * 1e9 / bw
-        busy = busy_until[TO_HOST]
-        if busy > then:
-            queue_delay = busy - then
-            busy_until[TO_HOST] = busy + serialization
-        else:
-            queue_delay = 0.0
-            busy_until[TO_HOST] = then + serialization
-        self._messages.value += 2
-        self._bytes.value += request_bytes + response_bytes
-        self._queue_ns.value += queue_delay
-        # Sum in the same association transfer() uses: out + (lat + q + ser).
-        return out + (latency_ns + queue_delay + serialization)
+        """Request to the device and response back, starting at ``now``:
+        the response leg starts when the request leg delivers."""
+        out = self.transfer(TO_DEVICE, now, request_bytes)
+        back = self.transfer(TO_HOST, now + out, response_bytes)
+        return out + back
 
     def try_round_trip(
         self,

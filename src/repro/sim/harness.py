@@ -61,23 +61,6 @@ def run_experiment(
     return simulate(trace, _as_scheme(scheme), config, **system_kwargs)
 
 
-def run_experiment_spec(spec) -> SimulationResult:
-    """Execute one :class:`~repro.sweep.spec.ExperimentSpec`, uncached.
-
-    The soak harness and replay path use this: a reproducer must actually
-    *run* the simulation (a cache hit would mask whether the failure still
-    reproduces), so no result store is consulted or written.
-    """
-    trace = generate(
-        spec.workload,
-        num_hosts=spec.config.num_hosts,
-        scale=spec.scale,
-        cores_per_host=spec.config.cores_per_host,
-    )
-    scheme = make_scheme(spec.scheme, **spec.scheme_kwargs)
-    return simulate(trace, scheme, spec.config, **spec.system_kwargs)
-
-
 def compare_schemes(
     workload: Union[str, WorkloadTrace],
     schemes: Iterable[SchemeLike] = DEFAULT_SCHEMES,

@@ -1,6 +1,6 @@
 """The multi-host CXL-DSM system model.
 
-Wires hosts (cores, L1s, LLC, local directory, local DRAM, TLB) to the CXL
+Wires hosts (cores, L1s, LLC, local DRAM, TLB) to the CXL
 memory node (device coherence directory, CXL DRAM, global remapping
 table/cache) over per-host CXL links, and implements the access workflows
 of the paper for all three placement mechanisms:
@@ -820,19 +820,6 @@ class MultiHostSystem:
         if exc.reason == "migration timeout":
             counters.migration_timeouts += 1
         if txn is not None:
-            if txn.local_entry is not None and (
-                self.injector.consume_rollback_sabotage()
-            ):
-                # Deliberately botched recovery (chaos/soak testing): drop
-                # the local-side snapshot so the rollback restores the
-                # global remap entry but not the owner's local entry/frame,
-                # leaving exactly the cross-table inconsistency the
-                # invariant watchdog exists to catch.
-                import dataclasses
-
-                txn = dataclasses.replace(
-                    txn, local_entry=None, cache_resident=False
-                )
             self.engine.rollback(txn)
             counters.rollbacks += 1
 
@@ -1177,11 +1164,6 @@ class MultiHostSystem:
             table = engine.local_tables[dead]
             for page in sorted(table._entries):
                 txn = engine.begin_txn(dead, page)
-                if injector.consume_rollback_sabotage():
-                    # Deliberately botched recovery (chaos/soak testing):
-                    # leave the orphaned entry dangling so the watchdog's
-                    # crash-domain audit has a real violation to catch.
-                    continue
                 entry = table.lookup(page)
                 if entry is not None and entry.migrated_count:
                     # Lines whose only copy lived in the dead host's DRAM.
@@ -1281,7 +1263,6 @@ class MultiHostSystem:
                 ("fault_migration_timeouts", c.migration_timeouts),
                 ("fault_rollbacks", c.rollbacks),
                 ("fault_degraded_skips", c.degraded_skips),
-                ("fault_sabotaged_rollbacks", c.sabotaged_rollbacks),
                 ("fault_host_stall_ns", c.host_stall_ns),
                 ("fault_poison_recoveries", c.poison_recoveries),
                 ("fault_recovery_ns", c.recovery_ns),

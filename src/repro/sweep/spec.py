@@ -102,7 +102,7 @@ class ExperimentSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "ExperimentSpec":
         """Rebuild a spec from :meth:`to_dict` output.
 
-        The inverse serialisation used by soak reproducer artifacts:
+        The inverse serialisation serve's spool files use:
         ``ExperimentSpec.from_dict(s.to_dict()).key() == s.key()`` —
         canonical JSON renders tuples and lists identically, so a spec
         that went through JSON hashes to the same cache entry.

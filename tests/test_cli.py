@@ -149,21 +149,6 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "1 resumed" in out
 
-    def test_soak_clean_run(self, capsys, tmp_path):
-        argv = [
-            "soak", "--seed", "11", "--trials", "2", "--budget-s", "120",
-            "--artifact-dir", str(tmp_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "clean: 2 trial(s) survived" in out
-        # --expect-failure inverts: a clean self-test run is a failure.
-        assert main(argv + ["--expect-failure"]) == 1
-
-    def test_soak_rejects_unknown_workload(self, capsys):
-        code = main(["soak", "--workloads", "doom", "--trials", "1"])
-        assert code == 2
-
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

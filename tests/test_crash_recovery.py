@@ -1,10 +1,9 @@
 """Host-crash fault domain: plan validation, stall cursors, watchdog
-audit families, end-to-end crash recovery, and the soak crash clause."""
+audit families and end-to-end crash recovery."""
 
 from __future__ import annotations
 
 import dataclasses
-import random
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.faults.watchdog import WatchdogError
 from repro.policies import make_scheme
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.system import MultiHostSystem
-from repro.soak.clauses import FaultClause, build_fault_config, draw_clauses
 
 _INF = float("inf")
 
@@ -292,8 +290,8 @@ class TestWatchdogAuditFamilies:
         assert any("globally mapped to crashed host" in d for d in crash)
 
     def test_kinds_follow_audit_order(self):
-        """WatchdogError.kinds is the soak failure signature; its order
-        must track the audit sequence, with crash-domain last."""
+        """WatchdogError.kinds must track the audit sequence, with
+        crash-domain last."""
         system = self._system("pipm")
         _corrupt_remap(system)
         _corrupt_directory(system)
@@ -418,61 +416,3 @@ class TestCrashRecoveryE2E:
         assert system.watchdog.ok
         assert result.fault_stats["fault_host_crashes"] == 1.0
 
-
-# ======================================================================
-# Soak crash clause: fold semantics and drawing
-# ======================================================================
-class TestCrashSoakClause:
-    def test_crash_clause_folds_into_config(self):
-        clause = FaultClause("crash", {"host": 2, "at_ns": 7e4,
-                                       "rejoin_ns": 2e5,
-                                       "governor_hold_ns": 4e4})
-        config = build_fault_config([clause], seed=11)
-        assert config.has_crash
-        assert config.crash_host == 2
-        assert config.crash_at_ns == 7e4
-        assert config.crash_rejoin_ns == 2e5
-        assert config.governor_hold_ns == 4e4
-
-    def test_fold_is_monotone_under_merge(self):
-        """Earliest crash wins and a permanent crash dominates any finite
-        rejoin, so dropping a clause never adds fault pressure."""
-        permanent = FaultClause("crash", {"host": 2, "at_ns": 1e5})
-        rejoining = FaultClause("crash", {"host": 1, "at_ns": 6e4,
-                                          "rejoin_ns": 2e5})
-        for order in ([permanent, rejoining], [rejoining, permanent]):
-            config = build_fault_config(order, seed=1)
-            assert config.crash_at_ns == 6e4  # earliest
-            assert config.crash_host == 1  # lowest, order-independent
-            assert config.crash_rejoin_ns == 0.0  # permanent dominates
-
-    def test_two_finite_rejoins_keep_the_longest_outage(self):
-        a = FaultClause("crash", {"host": 1, "at_ns": 5e4, "rejoin_ns": 1e5})
-        b = FaultClause("crash", {"host": 1, "at_ns": 5e4, "rejoin_ns": 3e5})
-        config = build_fault_config([a, b], seed=1)
-        assert config.crash_rejoin_ns == 3e5
-
-    def test_draw_respects_crash_rate(self):
-        always = draw_clauses(random.Random(5), crash_rate=1.0)
-        crashes = [c for c in always if c.kind == "crash"]
-        assert len(crashes) == 1
-        params = crashes[0].params
-        assert 5e4 <= params["at_ns"] <= 2.5e5
-        assert params["host"] in (1, 2, 3)
-        never = draw_clauses(random.Random(5), crash_rate=0.0)
-        assert not any(c.kind == "crash" for c in never)
-
-    def test_zero_crash_rate_preserves_legacy_rng_stream(self):
-        """crash_rate=0 must consume no RNG draws: existing soak seeds
-        (the CI self-tests pin two) replay the exact same schedules."""
-        legacy = draw_clauses(random.Random(7), sabotage_rate=1.0)
-        current = draw_clauses(random.Random(7), sabotage_rate=1.0,
-                               crash_rate=0.0)
-        assert legacy == current
-
-    def test_drawn_crash_clause_builds_a_valid_config(self):
-        for seed in range(20):
-            clauses = draw_clauses(random.Random(seed), crash_rate=1.0)
-            config = build_fault_config(clauses, seed=seed)
-            config.validate()  # incl. rejoin-after-crash ordering
-            assert config.has_crash

@@ -19,6 +19,11 @@ one whose accesses take the lane's host-private flow); the hypothesis
 fuzz draws hosts, fabric topology, fault plan, scheme and workload at
 random.  Parity cannot see a lane that silently stands down, so a floor
 on the lane's share of accesses is pinned too.
+
+Every fault plan arms the invariant watchdog, so each comparison also
+requires the reference run to end with no ``watchdog_violations``: the
+fuzz is the fault fuzzer, and a recovery that leaves the system
+inconsistent fails it whether or not the lane is involved.
 """
 
 import dataclasses
@@ -101,6 +106,10 @@ def _observe(trace, scheme: str, config: SystemConfig, fast_lane: bool):
 
 def _assert_lanes_agree(trace, scheme: str, config: SystemConfig):
     reference = _observe(trace, scheme, config, fast_lane=False)
+    stats = json.loads(reference["to_record()"])["stats"]
+    assert "watchdog_violations" not in stats, (
+        f"{stats['watchdog_violations']:.0f} watchdog violations"
+    )
     laned = _observe(trace, scheme, config, fast_lane=True)
     for what, expected in reference.items():
         assert laned[what] == expected, f"{what} differs"
@@ -329,10 +338,12 @@ TOPOLOGIES = (
 #: degraded window mid-run, so the governor hold it arms starts and ends
 #: while other hosts' lanes keep running; ``crash-errors`` is the
 #: benchmark's plan (a crash and rejoin, transfer errors, watchdog
-#: audits); ``switchdown`` needs a switched fabric.
+#: audits); ``chaos`` is ``storm`` plus a crash and rejoin, a governor
+#: hold and watchdog audits, every fault source in one run;
+#: ``switchdown`` needs a switched fabric.
 FAULT_KINDS = (
     "none", "flaky", "storm", "hostdown", "hostdown-rejoin", "switchdown",
-    "watchdog", "stalls", "degrade", "crash-errors",
+    "watchdog", "stalls", "degrade", "crash-errors", "chaos",
 )
 SCHEMES = tuple(SCHEME_CLASSES)
 WORKLOADS = ("pr", "ycsb", "tpcc")
@@ -360,6 +371,24 @@ class LaneCase:
             return SystemConfig.scaled(num_hosts=self.hosts)
         return SystemConfig.rack(self.hosts, self.topology)
 
+    def build(self):
+        """The case's trace and config.  Fault epochs are placed inside
+        the run: fractions of the fault-free run's simulated length."""
+        base = self.base_config()
+        trace = _trace(
+            self.workload, base,
+            WorkloadScale(
+                accesses_per_host=self.accesses_per_host,
+                footprint_bytes=512 * units.KB,
+                seed=self.seed,
+            ),
+        )
+        span_ns = simulate(trace, make_scheme(self.scheme), base).exec_time_ns
+        spec = self.fault_spec(base, span_ns)
+        if spec is None:
+            return trace, base
+        return trace, base.replace(faults=FaultConfig.parse(spec))
+
     def fault_spec(self, config: SystemConfig, span_ns: float):
         opens = self.opens_at * span_ns
         closes = self.closes_at * span_ns
@@ -369,11 +398,18 @@ class LaneCase:
             return None
         if self.faults == "flaky":
             return f"flaky:{seed}"
+        storm = (
+            f"storm:{seed},stall-period-ns={span_ns / 3},"
+            f"stall-duration-ns={span_ns / 30},"
+            f"poison-period-ns={span_ns / 10}"
+        )
         if self.faults == "storm":
+            return storm
+        if self.faults == "chaos":
             return (
-                f"storm:{seed},stall-period-ns={span_ns / 3},"
-                f"stall-duration-ns={span_ns / 30},"
-                f"poison-period-ns={span_ns / 10}"
+                f"{storm},crash-host={host},crash-at-ns={opens},"
+                f"crash-rejoin-ns={closes},governor-hold-ns={span_ns / 10},"
+                f"watchdog-period-ns={span_ns / 4}"
             )
         if self.faults == "hostdown":
             return f"hostdown:{seed},crash-host={host},crash-at-ns={opens}"
@@ -439,6 +475,12 @@ _RACK_32 = dict(
     hosts=32, scheme="pipm", workload="pr", accesses_per_host=1500,
     seed=7, opens_at=0.3, closes_at=0.7, victim=5,
 )
+#: Every fault source at once, so the full composition runs whatever the
+#: fuzz draws.
+_CHAOS_4H = LaneCase(
+    hosts=4, topology="flat", faults="chaos", scheme="pipm", workload="pr",
+    accesses_per_host=2000, seed=7, opens_at=0.3, closes_at=0.6, victim=1,
+)
 
 
 class TestLaneFuzz:
@@ -477,21 +519,21 @@ class TestLaneFuzz:
         workload="ycsb", accesses_per_host=2000, seed=7, opens_at=0.3,
         closes_at=0.6, victim=1,
     ))
+    @example(case=_CHAOS_4H)
     def test_lane_on_matches_lane_off(self, case):
-        base = case.base_config()
-        trace = _trace(
-            case.workload, base,
-            WorkloadScale(
-                accesses_per_host=case.accesses_per_host,
-                footprint_bytes=512 * units.KB,
-                seed=case.seed,
-            ),
-        )
-        # Fault epochs are placed inside the run: fractions of the
-        # fault-free run's simulated length.
-        span_ns = simulate(trace, make_scheme(case.scheme), base).exec_time_ns
-        spec = case.fault_spec(base, span_ns)
-        config = base
-        if spec is not None:
-            config = base.replace(faults=FaultConfig.parse(spec))
+        trace, config = case.build()
         _assert_lanes_agree(trace, case.scheme, config)
+
+    def test_chaos_fires_every_fault_source(self):
+        # A source that stops firing moves no parity byte either.
+        trace, config = _CHAOS_4H.build()
+        engine = _engine(trace, _CHAOS_4H.scheme, config)
+        stats = engine.run().stats
+        for fired in (
+            "fault_injected_errors", "fault_degraded_skips",
+            "fault_host_stall_ns", "fault_poison_recoveries",
+            "fault_host_crashes", "fault_host_rejoins",
+            "fault_governor_skips",
+        ):
+            assert stats.get(fired), fired
+        assert engine.system.watchdog.audits > 1  # periodic + post-run

@@ -9,17 +9,15 @@ import pytest
 
 from repro import units
 from repro.config import FaultConfig, SystemConfig
-from repro.coherence.litmus import run_all
-from repro.coherence import BaseCxlDsmModel, PipmModel
 from repro.faults import (
     FaultInjector,
     FaultPlan,
     InvariantWatchdog,
     LinkTransferError,
-    MessageFaultModel,
 )
 from repro.faults.watchdog import WatchdogError
 from repro.mem.cxl_link import TO_DEVICE, CxlLink
+from repro.pipm.engine import PipmEngine
 from repro.policies import make_scheme
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.harness import DEFAULT_SCHEMES
@@ -538,95 +536,54 @@ class TestWatchdog:
 
 
 # ======================================================================
-# Protocol-level message faults: litmus under a lossy fabric (satellite)
+# A botched rollback vs the watchdog
 # ======================================================================
-class TestMessageFaults:
-    def test_litmus_passes_with_message_delays(self):
-        wrapped = []
+@pytest.fixture
+def botched_rollback(monkeypatch):
+    """Make the first rollback that carries a local-side snapshot drop it.
 
-        def factory():
-            model = MessageFaultModel(
-                BaseCxlDsmModel(2), seed=4, error_rate=0.3
+    The rollback then restores the global remap entry but not the owner's
+    local entry and frame, leaving the page globally mapped to a host
+    whose local table no longer has it.  Returns the botched txns.
+    """
+    rollback = PipmEngine.rollback
+    botched = []
+
+    def botching(engine, txn):
+        if not botched and txn.local_entry is not None:
+            botched.append(txn)
+            txn = dataclasses.replace(
+                txn, local_entry=None, cache_resident=False
             )
-            wrapped.append(model)
-            return model
+        rollback(engine, txn)
 
-        counts = run_all(factory)  # raises AssertionError on SC violations
-        assert all(count > 0 for count in counts.values())
-        assert sum(m.retries for m in wrapped) > 0
-
-    def test_litmus_passes_for_pipm_model(self):
-        counts = run_all(
-            lambda: MessageFaultModel(
-                PipmModel(2, remap_host=0), seed=4, error_rate=0.3
-            )
-        )
-        assert all(count > 0 for count in counts.values())
-
-    def test_rejects_certain_loss(self):
-        with pytest.raises(ValueError):
-            MessageFaultModel(BaseCxlDsmModel(2), error_rate=1.0)
+    monkeypatch.setattr(PipmEngine, "rollback", botching)
+    return botched
 
 
-# ======================================================================
-# Deliberately botched rollback (soak sabotage) vs the watchdog
-# ======================================================================
-class TestRollbackSabotage:
-    """`rollback-sabotage-count` drops the local-side snapshot before a
-    migration-abort rollback, leaving the page globally mapped to a host
-    whose local table no longer has it — exactly the cross-table
-    inconsistency the invariant watchdog exists to catch."""
+class TestBotchedRollback:
+    """The cross-table inconsistency a botched migration-abort rollback
+    leaves is exactly what the watchdog's remap audit exists to catch."""
 
     SPEC = ("flaky:transfer-error-rate=0.4,max-attempts=3,seed=3,"
-            "watchdog-period-ns=20000,watchdog-mode={mode},"
-            "rollback-sabotage-count=1")
+            "watchdog-period-ns=20000,watchdog-mode={mode}")
 
-    def test_fail_fast_catches_botched_rollback(self, scaled_config,
-                                                tiny_pr_trace):
+    def test_fail_fast_catches_botched_rollback(self, botched_rollback,
+                                                scaled_config, tiny_pr_trace):
         config = _with_faults(scaled_config, self.SPEC.format(mode="fail-fast"))
         system = MultiHostSystem(config, make_scheme("pipm"))
         with pytest.raises(WatchdogError) as excinfo:
             SimulationEngine(system, tiny_pr_trace).run()
+        assert len(botched_rollback) == 1
         assert "remap" in excinfo.value.kinds
 
-    def test_failure_is_deterministic(self, scaled_config, tiny_pr_trace):
-        spec = self.SPEC.format(mode="fail-fast")
-        kinds = []
-        for _ in range(2):
-            config = _with_faults(scaled_config, spec)
-            system = MultiHostSystem(config, make_scheme("pipm"))
-            with pytest.raises(WatchdogError) as excinfo:
-                SimulationEngine(system, tiny_pr_trace).run()
-            kinds.append(tuple(excinfo.value.kinds))
-        assert kinds[0] == kinds[1]
-
-    def test_log_mode_records_violation_and_stat(self, scaled_config,
+    def test_log_mode_records_violation_and_stat(self, botched_rollback,
+                                                 scaled_config,
                                                  tiny_pr_trace):
         config = _with_faults(scaled_config, self.SPEC.format(mode="log"))
         system = MultiHostSystem(config, make_scheme("pipm"))
         SimulationEngine(system, tiny_pr_trace).run()  # must not raise
+        assert len(botched_rollback) == 1
         assert not system.watchdog.ok
         assert any(v.kind == "remap" for v in system.watchdog.violations)
-        stats = system.fault_stats()
-        assert stats["fault_sabotaged_rollbacks"] == 1.0
-        assert stats["watchdog_violations"] >= 1.0
-
-    def test_unused_budget_corrupts_nothing(self, scaled_config,
-                                            tiny_pr_trace):
-        """Sabotage piggybacks on aborts: without transfer errors there is
-        no rollback to botch, so the system stays consistent."""
-        config = _with_faults(
-            scaled_config,
-            "none:watchdog-period-ns=20000,watchdog-mode=fail-fast,"
-            "rollback-sabotage-count=5",
-        )
-        system = MultiHostSystem(config, make_scheme("pipm"))
-        SimulationEngine(system, tiny_pr_trace).run()
-        assert system.watchdog.ok
-        assert "fault_sabotaged_rollbacks" not in system.fault_stats()
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="rollback_sabotage_count"):
-            dataclasses.replace(
-                FaultConfig(), rollback_sabotage_count=-1
-            ).validate()
+        assert system.fault_stats()["watchdog_violations"] >= 1.0

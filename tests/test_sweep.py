@@ -108,6 +108,15 @@ class TestExperimentSpec:
     def test_every_spec_dimension_changes_the_key(self, mutate):
         assert mutate().key() != make_spec().key()
 
+    def test_faulted_spec_round_trips_through_json(self):
+        spec = make_spec(config=SystemConfig.scaled().replace(
+            faults=FaultConfig.parse("storm:degrade-hosts=1+2")))
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert ExperimentSpec.from_dict(data).key() == spec.key()
+        # A spool file written before a fault field was retired still loads.
+        data["config"]["faults"]["retired_field"] = 1
+        assert ExperimentSpec.from_dict(data).key() == spec.key()
+
     def test_trace_key_ignores_scheme_but_not_hosts(self):
         assert make_spec().trace_key() == make_spec(
             scheme="native").trace_key()
