@@ -8,9 +8,14 @@ lines, and host crashes; everything feeds one shared
 :class:`FaultCounters` record that the simulation result reports from.
 
 The engine's fast lane runs under every plan.  Stall windows, poison
-arrivals and crash epochs are event bounds that no lane run crosses, and
-the lane's link traffic goes through the links' own transfer methods.
-The only injector state a lane access reads is the migration governor
+arrivals and crash epochs are event bounds that no lane run crosses.  On
+a link with no degrade window the lane flies each transfer inline and
+calls :meth:`LinkFaultModel.draw_error` after the leg's edge hop, where
+the link's own transfer draws, so every link's error stream is consumed
+in the same order lane on or off; a drawn error runs the link's retry
+tail.  A link with degrade windows keeps its traffic on the path's own
+transfer methods.  Beyond the error streams, the only injector state a
+lane access reads is the migration governor
 (:meth:`FaultInjector.promotion_blocked`): its answer, with pure reads,
 then the real call whenever that call would block a promotion.
 

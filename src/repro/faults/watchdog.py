@@ -43,9 +43,8 @@ class WatchdogError(RuntimeError):
     def kinds(self) -> List[str]:
         """Violation kinds in audit order — a stable failure signature.
 
-        Soak-harness minimization compares these (not the free-text
-        details, which embed addresses) to decide whether a shrunken
-        schedule reproduces the *same* failure.
+        Two runs that fail the same way give the same kinds, while the
+        free-text details embed addresses that differ between them.
         """
         return [v.kind for v in self.violations]
 
@@ -81,6 +80,7 @@ class InvariantWatchdog:
         self._audit_page_map(found)
         self._audit_directory(found)
         self._audit_crash_domain(found)
+        self._audit_poison(found)
         if found:
             self.violations.extend(found)
             if self.mode == "fail-fast":
@@ -225,6 +225,29 @@ class InvariantWatchdog:
                         found.append(Violation(
                             "crash-domain", f"page {page:#x} still resident "
                             f"on crashed host {dead}", ()))
+
+    def _audit_poison(self, found: List[Violation]) -> None:
+        """A poisoned line is scrubbed everywhere until it is consumed.
+
+        Poison arrival removes the line from the device directory and
+        from every host's caches; the line stays poisoned until an access
+        scrubs and re-fetches it, so no audit may find it cached or
+        tracked in between.
+        """
+        system = self.system
+        injector = getattr(system, "injector", None)
+        if injector is None or not injector.poisoned:
+            return
+        for line in sorted(injector.poisoned):
+            if system.device_dir.peek(line) is not None:
+                found.append(Violation(
+                    "poison", f"poisoned line {line:#x} still tracked by "
+                    f"the device directory", ()))
+            for host in system.hosts:
+                if host.holds_line(line):
+                    found.append(Violation(
+                        "poison", f"poisoned line {line:#x} still cached "
+                        f"by host {host.host_id}", ()))
 
     def _audit_directory(self, found: List[Violation]) -> None:
         system = self.system

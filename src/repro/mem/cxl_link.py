@@ -11,8 +11,9 @@ Resilience: a link may carry an attached fault model (see
 transfer that exhausts its retry budget either absorbs a give-up penalty
 (demand traffic, which must complete) or raises :class:`LinkTransferError`
 (bulk migration traffic, which a transactional caller aborts and rolls
-back).  When no fault model is attached the original single-path timing
-code runs unchanged.
+back).  One timing body serves every transfer, faulted or not; its retry
+tail is split out so the engine's fast lane, which flies a faulted link
+with no degrade window inline, runs the same retries and give-ups.
 """
 
 from __future__ import annotations
@@ -91,55 +92,26 @@ class CxlLink:
         """Attach a per-link fault model (``None`` detaches)."""
         self._faults = model
 
-    def transfer(self, direction: int, now: float, size_bytes: int) -> float:
-        """Latency (ns) for ``size_bytes`` in ``direction`` starting ``now``."""
-        if size_bytes <= 0:
-            raise ValueError(
-                f"transfer size must be positive, got {size_bytes}"
-            )
-        if self._faults is not None:
-            return self._transfer_with_faults(
-                direction, now, size_bytes, faultable=False
-            )
-        serialization = size_bytes * 1e9 / self._bw_bytes_ns
-        busy_until = self._busy_until
-        busy = busy_until[direction]
-        if busy > now:
-            queue_delay = busy - now
-            busy_until[direction] = busy + serialization
-        else:
-            queue_delay = 0.0
-            busy_until[direction] = now + serialization
-        self._messages.value += 1
-        self._bytes.value += size_bytes
-        self._queue_ns.value += queue_delay
-        return self._latency_ns + queue_delay + serialization
+    def transfer(self, direction: int, now: float, size_bytes: int,
+                 faultable: bool = False) -> float:
+        """Latency (ns) for ``size_bytes`` in ``direction`` starting ``now``.
 
-    def try_transfer(self, direction: int, now: float, size_bytes: int) -> float:
-        """Like :meth:`transfer`, but raises :class:`LinkTransferError` when
-        the retry budget runs out instead of absorbing a give-up penalty.
-
-        Use for abortable bulk traffic (page/line migration payloads).
+        The one timing body, with or without a fault model: a degrade
+        window (if the model has one open at ``now``) scales latency and
+        serialization, and a drawn CRC error hands the first attempt's
+        total to :meth:`retry_tail`.  ``faultable`` selects what a give-up
+        does there (see :meth:`try_transfer`).
         """
         if size_bytes <= 0:
             raise ValueError(
                 f"transfer size must be positive, got {size_bytes}"
             )
-        if self._faults is None:
-            return self.transfer(direction, now, size_bytes)
-        return self._transfer_with_faults(
-            direction, now, size_bytes, faultable=True
-        )
-
-    def _transfer_with_faults(
-        self, direction: int, now: float, size_bytes: int, faultable: bool
-    ) -> float:
-        """The degraded/retrying path; only runs with a fault model attached."""
         faults = self._faults
-        window = faults.window_at(now) if faults.windows else None
+        window = (
+            faults.window_at(now)
+            if faults is not None and faults.windows else None
+        )
         if window is None:
-            # The preresolved constants are the config values (and the
-            # transfer_ns denominator), so this is the fault-free timing.
             latency_ns = self._latency_ns
             serialization = size_bytes * 1e9 / self._bw_bytes_ns
         else:
@@ -155,39 +127,64 @@ class CxlLink:
         else:
             queue_delay = 0.0
             busy_until[direction] = now + serialization
-        # Bump the preresolved cells unconditionally, exactly like the
-        # fault-free path: transfers count the same whether or not a stats
-        # registry is attached and whether or not faults are configured.
         self._messages.value += 1
         self._bytes.value += size_bytes
         self._queue_ns.value += queue_delay
         total = latency_ns + queue_delay + serialization
-
-        if faults.error_rate > 0.0:
-            attempt = 1
-            while faults.draw_error():
-                if attempt >= faults.max_attempts:
-                    faults.counters.link_giveups += 1
-                    self._giveups.value += 1
-                    if faultable:
-                        raise LinkTransferError(
-                            faults.host, direction, size_bytes
-                        )
-                    # Demand traffic must complete: charge the recovery
-                    # penalty (scrub + re-issue through a clean path).
-                    faults.counters.recovery_ns += faults.giveup_penalty_ns
-                    total += faults.giveup_penalty_ns
-                    break
-                # Retry: exponential backoff, then the wire time again.
-                backoff = faults.retry_backoff_ns * (2 ** (attempt - 1))
-                faults.counters.link_retries += 1
-                self._retries.value += 1
-                self._busy_until[direction] += serialization
-                self._messages.value += 1
-                self._bytes.value += size_bytes
-                total += backoff + serialization
-                attempt += 1
+        if (
+            faults is not None
+            and faults.error_rate > 0.0
+            and faults.draw_error()
+        ):
+            return self.retry_tail(
+                direction, size_bytes, serialization, total, faultable
+            )
         return total
+
+    def try_transfer(self, direction: int, now: float, size_bytes: int) -> float:
+        """Like :meth:`transfer`, but raises :class:`LinkTransferError` when
+        the retry budget runs out instead of absorbing a give-up penalty.
+
+        Use for abortable bulk traffic (page/line migration payloads).
+        """
+        return self.transfer(direction, now, size_bytes, True)
+
+    def retry_tail(
+        self, direction: int, size_bytes: int, serialization: float,
+        total: float, faultable: bool = False,
+    ) -> float:
+        """Finish a transfer whose first attempt drew a CRC error.
+
+        ``total`` is that attempt's latency.  Each retry waits an
+        exponential backoff, re-sends the payload behind the direction's
+        queue and draws again; the first clean draw returns the total.
+        When the attempts run out, demand traffic absorbs the give-up
+        penalty and ``faultable`` traffic raises.  Only called with a
+        fault model attached: by :meth:`transfer`, and by the engine's
+        fast lane, which flies a windowless faulted link inline.
+        """
+        faults = self._faults
+        attempt = 1
+        while attempt < faults.max_attempts:
+            faults.counters.link_retries += 1
+            self._retries.value += 1
+            self._busy_until[direction] += serialization
+            self._messages.value += 1
+            self._bytes.value += size_bytes
+            total += (
+                faults.retry_backoff_ns * (2 ** (attempt - 1)) + serialization
+            )
+            attempt += 1
+            if not faults.draw_error():
+                return total
+        faults.counters.link_giveups += 1
+        self._giveups.value += 1
+        if faultable:
+            raise LinkTransferError(faults.host, direction, size_bytes)
+        # Demand traffic must complete: charge the recovery penalty
+        # (scrub + re-issue through a clean path).
+        faults.counters.recovery_ns += faults.giveup_penalty_ns
+        return total + faults.giveup_penalty_ns
 
     def round_trip(
         self,

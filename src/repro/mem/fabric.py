@@ -139,12 +139,13 @@ class SwitchedPath:
     ``switchdown`` only slows them — so retry/abort semantics are
     unchanged from the flat model.
 
-    The engine's fast lane flies a fault-free path's hops itself, so this
-    object serves the slow path's accesses, paths whose edge link has a
-    fault model and paths with a switchdown window.  :meth:`transfer`
-    flies the edge link and the segments inline, reading their slots
-    directly, instead of composing :meth:`CxlLink.transfer` and
-    :meth:`FabricSegment.transfer` calls.  The inline hops keep the
+    The engine's fast lane flies a path's hops itself, transfer errors
+    included, so this object serves the slow path's accesses and paths
+    with a degrade window (a switchdown, or one in the edge link's fault
+    model).  :meth:`transfer` flies the edge link and the segments
+    inline, reading their slots directly, instead of composing
+    :meth:`CxlLink.transfer` and :meth:`FabricSegment.transfer` calls.
+    The inline hops keep the
     composed arithmetic bit for bit: each hop adds ``(latency + queue) +
     serialization`` to the running sum, queue state and counters change
     in traversal order, and a segment's degrade window is tested at the

@@ -18,9 +18,10 @@ while its host still holds the earliest heap turn and no armed event
 epoch) comes due.  Everything else — a host without a lane, a lane bail,
 an event boundary — is one access through :meth:`MultiHostSystem.access`,
 the serialized slow path.  The lane flies every path's link and segment
-hops inline, on any topology, unless the edge link has a fault model or a
-segment a degrade window.  Records are byte-identical with the lane on or
-off; ``fast_lane=False`` is the reference that tests compare against.
+hops inline, on any topology and under transfer errors, unless the edge
+link's fault model or a segment has a degrade window.  Records are
+byte-identical with the lane on or off; ``fast_lane=False`` is the
+reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .. import units
 from ..cache.directory import DirectoryEntry
 from ..cache.sa_cache import CacheEntry
 from ..config import SystemConfig
-from ..mem.cxl_link import CONTROL_BYTES, TO_DEVICE
+from ..mem.cxl_link import CONTROL_BYTES, TO_DEVICE, TO_HOST
 from ..pipm.remap_cache import RemapCache
 from ..pipm.remap_global import NO_HOST, GlobalRemapEntry
 from ..pipm.remap_local import LEAF_ENTRIES
@@ -155,9 +156,12 @@ def _make_flat_path(system, host_id, stall_by_service):
     mutated and the slow path re-executes the access from scratch), phase
     2 *executes* with the exact mutation and float-addition order of the
     slow path, so results stay byte-identical.  Escalating cases — a
-    dirty-owner forward, an inter-host access to a migrated page, an
-    S->M upgrade on a cached copy, a PIPM promotion crossing the vote
-    threshold — bail to the slow path.
+    dirty-owner forward, an inter-host access that migrates a line back
+    or revokes the owner's partial migration, an S->M upgrade on a cached
+    copy, a PIPM promotion crossing the vote threshold — bail to the slow
+    path.  An inter-host access to a page migrated elsewhere that moves
+    no line is a PIPM access served from CXL memory (flow 3) plus the
+    owner's local-counter decrement, so the lane keeps it.
 
     Shared state (the directory, remap tables, other hosts' caches, link
     and switch queues) is read live at each access, never snapshotted:
@@ -165,19 +169,22 @@ def _make_flat_path(system, host_id, stall_by_service):
     turn, so the lane sees exactly the state the slow path would see at
     that point of the global order.  The CXL round trip and a dirty LLC
     victim's writeback fly the edge link and the path's shared segments
-    (a flat path has none) inline, on any topology; only a fault model
-    on the edge link or a degrade window on a segment makes the lane
-    call the host's real path, where a faulted
-    :class:`~repro.mem.cxl_link.CxlLink` draws its error stream in the
-    slow path's order and a :class:`~repro.mem.fabric.SwitchedPath`
-    tests each window where the flight reaches it.
+    (a flat path has none) inline, on any topology.  A faulted edge link
+    flies inline too: after each leg's edge hop the lane draws the
+    link's CRC error, in the order the link's own transfers draw, and a
+    drawn error runs :meth:`~repro.mem.cxl_link.CxlLink.retry_tail`, the
+    one retry and give-up implementation.  Only a degrade window, on the
+    edge link's fault model or on a segment, makes the lane call the
+    host's real path, which tests each window where the flight reaches
+    it.
 
-    The only fault state a lane access reads is the migration governor.
-    Where the slow path would ask ``injector.promotion_blocked`` before a
-    PIPM vote, phase 1 computes that call's answer with pure reads (the
-    hold, then the host's own degrade window); when it is true, phase 2
-    makes the slow path's own call, with its skip counters and the hold
-    it may arm, instead of voting.
+    Beyond the link's error stream, the only fault state a lane access
+    reads is the migration governor.  Where the slow path would ask
+    ``injector.promotion_blocked`` before a PIPM vote, phase 1 computes
+    that call's answer with pure reads (the hold, then the host's own
+    degrade window); when it is true, phase 2 makes the slow path's own
+    call, with its skip counters and the hold it may arm, instead of
+    voting.
 
     Three mechanical liberties keep the hot path short without touching
     observable results:
@@ -260,18 +267,25 @@ def _make_flat_path(system, host_id, stall_by_service):
     dram_cxl, flush_cxl = _make_dram_path(system.cxl_mem.pool)
 
     # The path's hops: the edge link, then its segments (a flat path is
-    # the edge link itself).  A faulted edge link or a segment with a
-    # degrade window makes the lane call the path's own round_trip and
-    # transfer, as _cxl_access and _handle_llc_eviction do; windows are
-    # armed only in MultiHostSystem.__init__ (apply_switch_down), before
-    # run() builds any lane, so the choice holds for the whole run.
+    # the edge link itself).  A degrade window on the edge link's fault
+    # model or on a segment makes the lane call the path's own
+    # round_trip and transfer, as _cxl_access and _handle_llc_eviction
+    # do; windows are armed only in MultiHostSystem.__init__ (fault
+    # models, apply_switch_down), before run() builds any lane, so the
+    # choice holds for the whole run.  A faulted edge link with no window
+    # folds: after each leg's edge hop the lane draws the link's CRC
+    # error, and only a drawn error calls the link's retry tail.
     path = system.paths[host_id]
     link = system.links[host_id]
     hops = (link,) if path is link else (link, *path.segments)
-    folded = link._faults is None
+    link_faults = link._faults
+    folded = link_faults is None or not link_faults.windows
     for seg in hops[1:]:
         if seg._deg_start < seg._deg_end:
             folded = False
+    err_rate = link_faults.error_rate if link_faults is not None else 0.0
+    draw_error = link_faults.draw_error if link_faults is not None else None
+    retry_tail = link.retry_tail
     round_trip = path.round_trip
     path_transfer = path.transfer
     rt_bytes = CONTROL_BYTES + _CACHE_LINE
@@ -288,7 +302,8 @@ def _make_flat_path(system, host_id, stall_by_service):
 
     # The round trip flies the edge link (first hop out, last hop back)
     # inline and loops over the segments only, so a flat path's misses
-    # run no loop body; a writeback loops over every hop.
+    # run no loop body; a writeback loops over every hop and draws the
+    # edge link's error after its first.
     (link_busy, link_lat, ser_ctrl, out0, link_qns), *request_segs = leg(
         CONTROL_BYTES, hops
     )
@@ -316,6 +331,7 @@ def _make_flat_path(system, host_id, stall_by_service):
     if is_pipm:
         local_table = engine.local_tables[host_id]
         local_entries = local_table._entries
+        owner_tables = [table._entries for table in engine.local_tables]
         lrc = engine.local_caches[host_id]._cache
         lrc_sets = lrc._sets
         lrc_mask = lrc._mask
@@ -345,7 +361,6 @@ def _make_flat_path(system, host_id, stall_by_service):
         governed = system._governed
         injector = system.injector
         promotion_blocked = injector.promotion_blocked if governed else None
-        link_faults = injector.link(host_id) if governed else None
         window_at = (
             link_faults.window_at
             if link_faults is not None and link_faults.windows
@@ -416,8 +431,17 @@ def _make_flat_path(system, host_id, stall_by_service):
             if gentry is not None:
                 current = gentry.current_host
             if current != NO_HOST and current != host_id:
-                return None  # migrated elsewhere
-            if current == NO_HOST:
+                # Migrated elsewhere: the inter-host vote (step 5 of Fig.
+                # 7) stays in the lane only when it moves no line back
+                # and cannot revoke the owner's partial migration.
+                owner_entry = owner_tables[current].get(page)
+                if (
+                    owner_entry is None
+                    or owner_entry.counter <= 1
+                    or owner_entry.migrated_lines >> (line & _LINES_MASK) & 1
+                ):
+                    return None  # no owner entry, revocation, migrate-back
+            elif current == NO_HOST:
                 # promotion_blocked(host_id, now)'s answer; nothing
                 # touches the injector between here and phase 2's call.
                 held = governed and (
@@ -617,12 +641,18 @@ def _make_flat_path(system, host_id, stall_by_service):
                                     gentry.counter += 1
                             else:
                                 gentry.counter -= 1
+                    elif current != host_id:
+                        # inter_host_access: phase 1 kept the owner's
+                        # counter above 1, so the vote cannot revoke.
+                        owner_entry.counter -= 1
 
             if flow != 2:
                 # ---- plain cacheable CXL access (_cxl_access) ----
                 if folded:
                     # Request leg, then the response leg from when it
                     # delivers; an empty-queue hop adds its constant.
+                    # Each edge hop draws the link's CRC error, and its
+                    # retries join the leg as part of that hop's term.
                     b = link_busy[0]
                     if b > now:
                         qd = b - now
@@ -632,6 +662,10 @@ def _make_flat_path(system, host_id, stall_by_service):
                     else:
                         link_busy[0] = now + ser_ctrl
                         out = out0
+                    if err_rate and draw_error():
+                        out = retry_tail(
+                            TO_DEVICE, CONTROL_BYTES, ser_ctrl, out
+                        )
                     for busy, hop_lat, ser, hop0, qns in request_segs:
                         at = now + out
                         b = busy[0]
@@ -662,10 +696,13 @@ def _make_flat_path(system, host_id, stall_by_service):
                         qd = b - at
                         link_busy[1] = b + ser_line
                         link_qns.value += qd
-                        back += link_lat + qd + ser_line
+                        edge = link_lat + qd + ser_line
                     else:
                         link_busy[1] = at + ser_line
-                        back += in0
+                        edge = in0
+                    if err_rate and draw_error():
+                        edge = retry_tail(TO_HOST, _CACHE_LINE, ser_line, edge)
+                    back += edge
                     extra = (out + back) + ddir_ns
                     rt_n += 1
                 else:
@@ -823,6 +860,14 @@ def _make_flat_path(system, host_id, stall_by_service):
                                 else:
                                     busy[0] = at + ser
                                     out += hop0
+                                if (
+                                    err_rate
+                                    and busy is link_busy
+                                    and draw_error()
+                                ):
+                                    out = retry_tail(
+                                        TO_DEVICE, _CACHE_LINE, ser, out
+                                    )
                             wb_n += 1
                         else:
                             path_transfer(TO_DEVICE, now, _CACHE_LINE)

@@ -533,9 +533,8 @@ class TestLinkAccountingParity:
         assert link._bytes.value == sum(s for _, _, s in self.SEQUENCE)
 
     def test_queue_delay_parity_under_noop_window(self):
-        """``transfer`` and ``_transfer_with_faults`` must evolve the
-        same ``_busy_until`` and charge the same queue_ns under a no-op
-        fault window."""
+        """A link with a no-op fault window must evolve the same
+        ``_busy_until`` and charge the same queue_ns as a clean one."""
         clean = CxlLink(SystemConfig.scaled().cxl_link)
         faulty = CxlLink(SystemConfig.scaled().cxl_link)
         faulty.attach_faults(_noop_fault_model())

@@ -367,7 +367,29 @@ class TestFaultedRuns:
         assert result.exec_time_ns > clean.exec_time_ns
 
     def test_aborts_roll_back_and_stay_consistent(self, scaled_config,
-                                                  tiny_pr_trace):
+                                                  tiny_pr_trace, monkeypatch):
+        # A skipped rollback leaves a state the watchdog accepts (the
+        # migrate-back or revocation simply stands), so compare the
+        # page's remap entries with the transaction's snapshot after
+        # every abort.
+        restored = []
+        abort = MultiHostSystem._abort_migration
+
+        def checked(system, txn, exc):
+            abort(system, txn, exc)
+            engine = system.engine
+            gentry = engine.global_table.peek(txn.page)
+            local = engine.local_tables[txn.owner].lookup(txn.page)
+            restored.append((
+                None if gentry is None else (
+                    gentry.current_host, gentry.candidate_host, gentry.counter
+                ),
+                None if local is None else (
+                    local.local_pfn, local.counter, local.migrated_lines
+                ),
+            ) == (txn.global_entry, txn.local_entry))
+
+        monkeypatch.setattr(MultiHostSystem, "_abort_migration", checked)
         config = _with_faults(
             scaled_config,
             "flaky:transfer-error-rate=0.4,max-attempts=3,seed=3,"
@@ -379,6 +401,8 @@ class TestFaultedRuns:
         assert stats.get("fault_rollbacks", 0) == stats.get(
             "fault_migration_aborts"
         )
+        assert len(restored) == stats["fault_migration_aborts"]
+        assert all(restored)
         assert "watchdog_violations" not in result.stats
 
     def test_kernel_scheme_aborts_under_faults(self, scaled_config,
