@@ -1,6 +1,6 @@
 """Cache substrates: replacement policies, set-associative caches, directories."""
 
-from .replacement import LruPolicy, RandomPolicy, SrripPolicy, make_policy
+from .replacement import LruPolicy
 from .sa_cache import CacheEntry, SetAssocCache
 from .directory import DirectoryEntry, SlicedDirectory
 
@@ -10,7 +10,4 @@ __all__ = [
     "DirectoryEntry",
     "SlicedDirectory",
     "LruPolicy",
-    "RandomPolicy",
-    "SrripPolicy",
-    "make_policy",
 ]

@@ -2,12 +2,11 @@
 
 Policies are stateless strategy objects: the cache hands them the set's
 entries and asks which victim to evict.  Entries expose ``stamp`` (LRU
-timestamp) and ``rrpv`` (re-reference prediction value for SRRIP).
+timestamp).
 """
 
 from __future__ import annotations
 
-import random
 from operator import attrgetter
 from typing import Iterable, Protocol, TYPE_CHECKING
 
@@ -40,69 +39,3 @@ class LruPolicy:
 
     def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
         return min(entries, key=BY_STAMP)
-
-
-class RandomPolicy:
-    """Uniform random victim (seeded for reproducibility)."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def on_hit(self, entry: "CacheEntry", tick: int) -> None:
-        entry.stamp = tick
-
-    def on_fill(self, entry: "CacheEntry", tick: int) -> None:
-        entry.stamp = tick
-
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
-        pool = list(entries)
-        return pool[self._rng.randrange(len(pool))]
-
-
-class SrripPolicy:
-    """Static re-reference interval prediction (2-bit RRPV)."""
-
-    MAX_RRPV = 3
-
-    def on_hit(self, entry: "CacheEntry", tick: int) -> None:
-        entry.rrpv = 0
-        entry.stamp = tick
-
-    def on_fill(self, entry: "CacheEntry", tick: int) -> None:
-        entry.rrpv = self.MAX_RRPV - 1
-        entry.stamp = tick
-
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
-        pool = list(entries)
-        while True:
-            for entry in pool:
-                if entry.rrpv >= self.MAX_RRPV:
-                    return entry
-            for entry in pool:
-                entry.rrpv += 1
-
-
-_POLICIES = {
-    "lru": LruPolicy,
-    "random": RandomPolicy,
-    "srrip": SrripPolicy,
-}
-
-
-def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a replacement policy by name (``lru``/``random``/``srrip``).
-
-    ``seed`` feeds stochastic policies (currently ``random``) so victim
-    choices are a function of the experiment config, not process entropy;
-    deterministic policies ignore it.
-    """
-    try:
-        factory = _POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown replacement policy {name!r}; "
-            f"choose from {sorted(_POLICIES)}"
-        ) from None
-    if factory is RandomPolicy:
-        return factory(seed)
-    return factory()

@@ -19,14 +19,13 @@ from .replacement import LruPolicy, ReplacementPolicy
 class CacheEntry:
     """One resident line."""
 
-    __slots__ = ("line", "dirty", "state", "stamp", "rrpv")
+    __slots__ = ("line", "dirty", "state", "stamp")
 
     def __init__(self, line: int, dirty: bool = False, state: object = None):
         self.line = line
         self.dirty = dirty
         self.state = state
         self.stamp = 0
-        self.rrpv = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,7 +12,6 @@ Commands
               in rejected/, resume after kill -9, drain gracefully on
               SIGTERM
 ``check``     model-check the coherence protocols (the Murphi step)
-``lint``      static determinism and stats-discipline lints
 ``workloads`` print the Table 1 inventory
 ``config``    print the Table 2 system configuration
 """
@@ -171,20 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="model-check the protocols")
     check.add_argument("--hosts", type=int, default=3)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static determinism and stats-discipline lints",
-        description=(
-            "simcheck: AST lints for the determinism contract the result "
-            "cache depends on (wall clocks, unseeded RNG), stats "
-            "discipline (one key, one of counter or gauge) and dead "
-            "conditionals.  Protocol correctness is 'check', not lint."
-        ),
-    )
-    from .simcheck.cli import add_lint_arguments
-
-    add_lint_arguments(lint)
 
     sub.add_parser("workloads", help="list the Table 1 workloads")
     sub.add_parser("config", help="show the Table 2 configuration")
@@ -422,19 +407,12 @@ def _cmd_config(_args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from .simcheck.cli import run_lint
-
-    return run_lint(args)
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
     "sweep": _cmd_sweep,
     "serve": _cmd_serve,
     "check": _cmd_check,
-    "lint": _cmd_lint,
     "workloads": _cmd_workloads,
     "config": _cmd_config,
 }

@@ -6,13 +6,13 @@ shared by N hosts — and the explicit-state model checker (:mod:`checker`)
 that explores them to verify SWMR, data-value integrity, and the absence
 of stuck states (the paper's Murphi verification, Section 5.1.4).  The
 model classes are the only statement of the transitions and the checker
-is the only protocol oracle.  :mod:`states` holds the Fig. 9 state
-encodings; the models use only its ``CacheState``.  The timing
-simulator does not run these models; the fault watchdog reuses only the
-checker's ``Violation`` record.
+is the only protocol oracle.  :mod:`states` holds ``CacheState``, the
+state vocabulary (its docstring keeps Fig. 9's encoding table).  The
+timing simulator does not run these models; the fault watchdog reuses
+only the checker's ``Violation`` record.
 """
 
-from .states import CacheState, MemBit, encode_local_state, encode_device_state
+from .states import CacheState
 from .base_protocol import BaseCxlDsmModel
 from .pipm_protocol import PipmModel
 from .checker import CheckResult, ModelChecker
@@ -22,9 +22,6 @@ __all__ = [
     "LitmusRunner",
     "verify_sequential_consistency",
     "CacheState",
-    "MemBit",
-    "encode_local_state",
-    "encode_device_state",
     "BaseCxlDsmModel",
     "PipmModel",
     "ModelChecker",

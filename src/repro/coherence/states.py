@@ -36,40 +36,3 @@ class CacheState(IntEnum):
     def is_writer(self) -> bool:
         """Whether this state grants write permission (SWMR 'writer')."""
         return self in (CacheState.M, CacheState.E, CacheState.ME)
-
-
-class MemBit(IntEnum):
-    """The 1-bit in-memory state kept in ECC spare bits (Section 4.3.2)."""
-
-    HOME = 0  # the latest non-cached copy lives in CXL memory
-    MIGRATED = 1  # the latest non-cached copy lives in a host's local memory
-
-
-def encode_local_state(directory_state: CacheState, mem_bit: MemBit) -> CacheState:
-    """Full local coherence state = directory state + in-memory bit.
-
-    Implements the upper table of Fig. 9: an ``I`` directory state with the
-    in-memory bit set decodes to ``I'``; the explicit ``ME`` directory state
-    requires the bit set.
-    """
-    if directory_state is CacheState.ME:
-        if mem_bit is not MemBit.MIGRATED:
-            raise ValueError("ME requires the in-memory bit to be set")
-        return CacheState.ME
-    if directory_state is CacheState.I and mem_bit is MemBit.MIGRATED:
-        return CacheState.I_MIG
-    return directory_state
-
-
-def encode_device_state(directory_state: CacheState, mem_bit: MemBit) -> CacheState:
-    """Full device coherence state (lower table of Fig. 9).
-
-    The device directory reuses ``I`` + in-memory bit = 1 as ``I'`` —
-    inter-host accesses to such lines must be directed to the owning host's
-    local memory.
-    """
-    if directory_state is CacheState.ME:
-        raise ValueError("the device directory never holds ME")
-    if directory_state is CacheState.I and mem_bit is MemBit.MIGRATED:
-        return CacheState.I_MIG
-    return directory_state

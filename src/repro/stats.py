@@ -9,21 +9,18 @@ indirection beyond a dict lookup.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Set, Union
+from typing import Dict
 
 
 class Counter:
     """A preresolved accumulator cell for one registry key.
 
     The simulator hot loop (DRAM channels, CXL links) bumps the same few
-    statistics millions of times per run; routing every bump through
-    ``ScopedStats.add`` costs a string concatenation plus two method
-    calls and a dict update per event.  A Counter is handed out once by
-    :meth:`StatRegistry.counter` and then bumped as ``cell.value += x``
-    — the registry reads the live cell at snapshot time, so there is no
-    flush step and mid-run reads stay exact.
+    statistics millions of times per run.  A Counter is handed out once
+    by :meth:`StatRegistry.counter` and then bumped as
+    ``cell.value += x``, with no key concatenation or dict update per
+    event; the registry reads the live cell at snapshot time, so there is
+    no flush step and mid-run reads stay exact.
     """
 
     __slots__ = ("value",)
@@ -38,39 +35,21 @@ class Counter:
 class StatRegistry:
     """A hierarchical bag of numeric statistics.
 
-    Keys are dotted paths (``"host0.llc.misses"``).  Values are ints or
-    floats.  ``add`` accumulates (counter semantics); ``put`` overwrites
-    (gauge semantics).  The registry remembers which keys were last
-    written as gauges so :meth:`merge` can aggregate per-worker snapshots
-    without summing values that are not additive (hit rates, occupancies,
-    configuration echoes like ``freq_ghz``).
+    Keys are dotted paths (``"host0.llc.misses"``).  Components take a
+    preresolved :class:`Counter` per key from :meth:`counter` (usually
+    through a :class:`ScopedStats` view) and bump it directly;
+    :meth:`snapshot` reads every live cell.
     """
 
     def __init__(self) -> None:
         self._values: Dict[str, Counter] = {}
-        self._gauges: Set[str] = set()
 
-    def _cell(self, key: str) -> Counter:
+    def counter(self, key: str) -> Counter:
+        """The live accumulator cell for ``key`` (created at 0 if new)."""
         cell = self._values.get(key)
         if cell is None:
             cell = self._values[key] = Counter()
         return cell
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self._cell(key).value += amount
-        self._gauges.discard(key)
-
-    def put(self, key: str, value: float) -> None:
-        self._cell(key).value = value
-        self._gauges.add(key)
-
-    def counter(self, key: str) -> Counter:
-        """The live accumulator cell for ``key`` (created at 0 if new).
-
-        Bumping the cell directly skips the gauge-demotion bookkeeping
-        ``add`` performs, so only use it for keys that are never ``put``.
-        """
-        return self._cell(key)
 
     def get(self, key: str, default: float = 0.0) -> float:
         cell = self._values.get(key)
@@ -83,57 +62,12 @@ class StatRegistry:
         """A plain-dict copy of every recorded statistic."""
         return {key: cell.value for key, cell in self._values.items()}
 
-    def gauge_keys(self) -> Set[str]:
-        """The keys last written with ``put`` (non-additive on merge)."""
-        return set(self._gauges)
-
-    def is_gauge(self, key: str) -> bool:
-        return key in self._gauges
-
-    def merge(
-        self,
-        other: Union["StatRegistry", Mapping[str, float]],
-        gauges: Iterable[str] = (),
-    ) -> None:
-        """Fold another registry (or snapshot) into this one.
-
-        Counter keys accumulate; gauge keys overwrite — merging N worker
-        snapshots must not multiply a hit rate or a ``put`` configuration
-        echo by N.  When ``other`` is a :class:`StatRegistry` its own
-        gauge set is honoured automatically; for a plain mapping, pass the
-        gauge keys explicitly (e.g. the ``gauge_keys()`` of the registry
-        that produced the snapshot).
-        """
-        if isinstance(other, StatRegistry):
-            gauge_set = other.gauge_keys() | set(gauges)
-            items = other.snapshot().items()
-        else:
-            gauge_set = set(gauges)
-            items = other.items()
-        for key, value in items:
-            if key in gauge_set:
-                self._cell(key).value = value
-                self._gauges.add(key)
-            else:
-                self._cell(key).value += value
-
-    def keys(self) -> Iterable[str]:
-        return self._values.keys()
-
-    def clear(self) -> None:
-        self._values.clear()
-        self._gauges.clear()
-
     def clear_prefix(self, prefix: str) -> int:
         """Drop every statistic under ``prefix``; returns how many."""
         doomed = [key for key in self._values if key.startswith(prefix)]
         for key in doomed:
             del self._values[key]
-            self._gauges.discard(key)
         return len(doomed)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StatRegistry({len(self._values)} keys)"
@@ -146,18 +80,9 @@ class ScopedStats:
         self._registry = registry
         self._prefix = prefix.rstrip(".") + "."
 
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self._registry.add(self._prefix + key, amount)
-
-    def put(self, key: str, value: float) -> None:
-        self._registry.put(self._prefix + key, value)
-
     def counter(self, key: str) -> Counter:
         """Preresolved accumulator cell for ``prefix + key`` (hot paths)."""
         return self._registry.counter(self._prefix + key)
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        return self._registry.get(self._prefix + key, default)
 
     def scoped(self, prefix: str) -> "ScopedStats":
         return ScopedStats(self._registry, self._prefix + prefix)
@@ -165,56 +90,6 @@ class ScopedStats:
     def clear(self) -> int:
         """Drop every statistic recorded under this scope's prefix."""
         return self._registry.clear_prefix(self._prefix)
-
-
-@dataclass
-class Histogram:
-    """Fixed-bucket histogram for latency/occupancy distributions."""
-
-    bucket_width: float
-    buckets: Dict[int, int] = field(default_factory=dict)
-    count: int = 0
-    total: float = 0.0
-    maximum: float = 0.0
-    minimum: float = math.inf
-
-    def record(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram values must be non-negative, got {value}")
-        bucket = int(value // self.bucket_width)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.count += 1
-        self.total += value
-        if value > self.maximum:
-            self.maximum = value
-        if value < self.minimum:
-            self.minimum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """Approximate percentile (bucket upper edge).
-
-        ``percentile(0.0)`` is the recorded minimum (not the first
-        bucket's upper edge) and ``percentile(1.0)`` never exceeds the
-        recorded maximum, so the approximation brackets the true
-        distribution at both ends.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if not self.count:
-            return 0.0
-        if fraction == 0.0:
-            return self.minimum
-        target = fraction * self.count
-        seen = 0
-        for bucket in sorted(self.buckets):
-            seen += self.buckets[bucket]
-            if seen >= target:
-                return min((bucket + 1) * self.bucket_width, self.maximum)
-        return self.maximum
 
 
 def ratio(numerator: float, denominator: float) -> float:

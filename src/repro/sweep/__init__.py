@@ -27,7 +27,6 @@ from .runner import (
     SweepRunner,
     SweepSummary,
     run_spec,
-    stat_gauges,
 )
 from .spec import SPEC_VERSION, ExperimentSpec, canonical_json, content_key
 from .store import ResultStore, atomic_write_bytes, atomic_write_json
@@ -50,7 +49,6 @@ __all__ = [
     "SweepRunner",
     "SweepSummary",
     "run_spec",
-    "stat_gauges",
     "JournalEntry",
     "SweepJournal",
     "FailedRun",

@@ -26,7 +26,7 @@ Design points:
   rewritten in place, so it needs no compaction: it grows by one line per
   finished attempt, i.e. with work done.
 * **No wall-clock timestamps** — the journal stays a pure function of
-  what happened, per the determinism contract (simcheck DET001).
+  what happened, per the determinism contract.
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ processes — the serial reference path (failures are still isolated per
 spec).  Because specs are content-hashed and entries are serialized
 deterministically, the parallel path produces byte-identical cache files
 to the serial one.
-
-Worker-side statistics snapshots are folded into one registry with the
-counter/gauge-aware :meth:`~repro.stats.StatRegistry.merge` (summing a
-hit *rate* or a ``freq_ghz`` echo across workers would be nonsense).
 """
 
 from __future__ import annotations
@@ -44,30 +40,16 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, sleep
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..policies import make_scheme
 from ..sim.engine import simulate
 from ..sim.results import SimulationResult
-from ..stats import StatRegistry
 from .journal import SweepJournal
 from .spec import ExperimentSpec
 from .store import ResultStore
 from .supervisor import FailedRun, Job, JobSupervisor, SupervisorPolicy
 from .traces import TraceStore
-
-#: ``SimulationResult.stats`` keys with gauge (non-additive) semantics.
-_GAUGE_SUFFIXES = ("_rate", "_fraction")
-_GAUGE_KEYS = ("freq_ghz",)
-
-
-def stat_gauges(stats: Dict[str, float]) -> List[str]:
-    """The keys of ``stats`` that must not be summed when aggregating."""
-    return [
-        key for key in stats
-        if key.endswith(_GAUGE_SUFFIXES) or key in _GAUGE_KEYS
-    ]
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -107,7 +89,6 @@ class SweepSummary:
     failures: List[FailedRun] = field(default_factory=list)
     trace_reports: List[Tuple[str, bool, float]] = field(default_factory=list)
     wall_s: float = 0.0
-    stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def runs(self) -> int:
@@ -206,20 +187,9 @@ def _warm_trace_worker(
     return workload, hit, perf_counter() - started
 
 
-def _run_spec_worker(
-    args: Tuple[ExperimentSpec, str]
-) -> Tuple[RunReport, Dict[str, float], List[str]]:
+def _run_spec_worker(args: Tuple[ExperimentSpec, str]) -> RunReport:
     spec, cache_dir = args
-    outcome = run_spec(spec, cache_dir)
-    # Per-worker snapshot: counters accumulate across workers, gauges
-    # (rates, config echoes) must overwrite on merge.
-    registry = StatRegistry()
-    registry.add("sweep.runs")
-    registry.add("sweep.cache_hits", 1.0 if outcome.report.cache_hit else 0.0)
-    registry.add("sweep.sim_seconds", outcome.report.elapsed_s)
-    gauges = stat_gauges(outcome.result.stats)
-    registry.merge(outcome.result.stats, gauges=gauges)
-    return outcome.report, registry.snapshot(), sorted(registry.gauge_keys())
+    return run_spec(spec, cache_dir).report
 
 
 class SweepRunner:
@@ -282,23 +252,21 @@ class SweepRunner:
     ) -> SweepSummary:
         say = progress or (lambda _line: None)
         summary = SweepSummary()
-        registry = StatRegistry()
         started = perf_counter()
         journal = SweepJournal(self.cache_dir)
         try:
             todo = self._resume_filter(summary, journal, say)
             journal.begin(len(todo))
             if self.workers <= 1 and self.policy.timeout_s is None:
-                self._run_serial(todo, summary, registry, journal, say)
+                self._run_serial(todo, summary, journal, say)
             else:
-                self._run_supervised(todo, summary, registry, journal, say)
+                self._run_supervised(todo, summary, journal, say)
         except KeyboardInterrupt:
             # Workers are already down (supervisor teardown / pool
             # shutdown); whatever they were mid-publish is an orphan.
             self._purge_temps(say)
             raise
         summary.wall_s = perf_counter() - started
-        summary.stats = registry.snapshot()
         return summary
 
     # ------------------------------------------------------------------
@@ -388,7 +356,7 @@ class SweepRunner:
         self._note(summary, report, say)
 
     # ------------------------------------------------------------------
-    def _run_serial(self, todo, summary, registry, journal, say) -> None:
+    def _run_serial(self, todo, summary, journal, say) -> None:
         traces = TraceStore(self.cache_dir)
         for workload, hosts, cores, scale, _dir in self._unique_traces(todo):
             t0 = perf_counter()
@@ -433,18 +401,10 @@ class SweepRunner:
                         report, status="retried", attempts=attempt,
                         elapsed_s=perf_counter() - first_started,
                     )
-                registry.add("sweep.runs")
-                registry.add("sweep.cache_hits",
-                             1.0 if report.cache_hit else 0.0)
-                registry.add("sweep.sim_seconds", report.elapsed_s)
-                registry.merge(
-                    outcome.result.stats,
-                    gauges=stat_gauges(outcome.result.stats),
-                )
                 self._note_success(summary, report, journal, say)
                 break
 
-    def _run_supervised(self, todo, summary, registry, journal, say) -> None:
+    def _run_supervised(self, todo, summary, journal, say) -> None:
         # Phase 1: each unique trace generated exactly once, in one-shot
         # supervised children (short, CPU-bound, no timeout or retry).
         # Unlike a process pool's workers, which block forever on their
@@ -480,12 +440,11 @@ class SweepRunner:
                 if not outcome.ok:
                     self._note_failure(summary, outcome.failure, journal, say)
                     continue
-                report, snapshot, gauges = outcome.result
+                report = outcome.result
                 if outcome.attempts > 1:
                     report = dataclasses.replace(
                         report, status="retried", attempts=outcome.attempts,
                     )
-                registry.merge(snapshot, gauges=gauges)
                 self._note_success(summary, report, journal, say)
         finally:
             # Deterministic teardown even when the consumer loop dies

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.replacement import LruPolicy, RandomPolicy, SrripPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.sa_cache import SetAssocCache, cache_from_geometry
 
 
@@ -146,34 +146,3 @@ class TestReplacementPolicies:
 
     def test_lru(self):
         self._exercise(LruPolicy())
-
-    def test_random(self):
-        self._exercise(RandomPolicy(seed=1))
-
-    def test_srrip(self):
-        self._exercise(SrripPolicy())
-
-    def test_srrip_protects_reused_lines(self):
-        cache = SetAssocCache(1, 4, policy=SrripPolicy())
-        cache.fill(0)
-        for _ in range(3):
-            cache.lookup(0)  # rrpv -> 0
-        for line in (1, 2, 3):
-            cache.fill(line)
-        victim = cache.fill(99)
-        assert victim.line != 0
-
-    def test_make_policy(self):
-        assert isinstance(make_policy("lru"), LruPolicy)
-        assert isinstance(make_policy("random"), RandomPolicy)
-        assert isinstance(make_policy("srrip"), SrripPolicy)
-        with pytest.raises(ValueError):
-            make_policy("fifo")
-
-    def test_random_is_seeded_deterministic(self):
-        def run():
-            cache = SetAssocCache(1, 2, policy=RandomPolicy(seed=7))
-            cache.fill(0)
-            cache.fill(1)
-            return cache.fill(2).line
-        assert run() == run()

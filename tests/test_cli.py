@@ -153,40 +153,6 @@ class TestCliCommands:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_lint_repo_is_clean(self, capsys):
-        assert main(["lint", "src/repro"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
-
-    def test_lint_json_output(self, capsys):
-        import json
-
-        assert main(["lint", "src/repro", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["errors"] == 0
-        assert payload["findings"] == []
-        assert payload["files_checked"] > 0
-
-    def test_lint_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "STAT001", "STAT003",
-                        "CON001"):
-            assert rule_id in out
-        for family in ("PROTO", "UNIT", "MUT", "SUPP", "ORD", "ROB"):
-            assert family not in out
-
-    def test_lint_flags_fresh_findings(self, capsys, tmp_path):
-        bad = tmp_path / "src" / "repro_like.py"
-        bad.parent.mkdir()
-        bad.write_text("import time\nstamp = time.time()\n")
-        assert main(["lint", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "DET001" in out
-
-    def test_lint_missing_path(self, capsys):
-        assert main(["lint", "no/such/dir"]) == 2
-
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

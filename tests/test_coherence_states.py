@@ -1,13 +1,6 @@
-"""Coherence state vocabulary and Fig. 9 encodings."""
+"""Coherence state vocabulary."""
 
-import pytest
-
-from repro.coherence.states import (
-    CacheState,
-    MemBit,
-    encode_device_state,
-    encode_local_state,
-)
+from repro.coherence.states import CacheState
 
 
 class TestCacheState:
@@ -24,46 +17,3 @@ class TestCacheState:
         assert CacheState.ME.is_valid_copy
         assert not CacheState.I.is_valid_copy
         assert not CacheState.I_MIG.is_valid_copy
-
-
-class TestLocalEncoding:
-    """Upper table of Fig. 9."""
-
-    def test_i_plus_bit_is_i_mig(self):
-        assert (
-            encode_local_state(CacheState.I, MemBit.MIGRATED)
-            is CacheState.I_MIG
-        )
-
-    def test_i_without_bit_is_i(self):
-        assert encode_local_state(CacheState.I, MemBit.HOME) is CacheState.I
-
-    def test_me_requires_bit(self):
-        assert (
-            encode_local_state(CacheState.ME, MemBit.MIGRATED)
-            is CacheState.ME
-        )
-        with pytest.raises(ValueError):
-            encode_local_state(CacheState.ME, MemBit.HOME)
-
-    def test_msi_pass_through(self):
-        for state in (CacheState.M, CacheState.S):
-            assert encode_local_state(state, MemBit.HOME) is state
-
-
-class TestDeviceEncoding:
-    """Lower table of Fig. 9."""
-
-    def test_i_plus_bit_is_i_mig(self):
-        assert (
-            encode_device_state(CacheState.I, MemBit.MIGRATED)
-            is CacheState.I_MIG
-        )
-
-    def test_device_never_holds_me(self):
-        with pytest.raises(ValueError):
-            encode_device_state(CacheState.ME, MemBit.MIGRATED)
-
-    def test_msi_pass_through(self):
-        for state in (CacheState.M, CacheState.S, CacheState.I):
-            assert encode_device_state(state, MemBit.HOME) is state

@@ -1,10 +1,10 @@
-"""Golden-record determinism: the simulator's output, pinned.
+"""Golden determinism: the simulator's inputs and output, pinned.
 
-This module owns both pin files and their writer.  Two distinct failure
-modes land here:
+This module owns the three pin files and their writer.  Two distinct
+failure modes land here:
 
 * a *model* change (including a latency-bug fix) moves the numbers —
-  expected exactly once per intentional change; regenerate both files in
+  expected exactly once per intentional change; regenerate the files in
   the same commit with
   ``PYTHONPATH=src python tests/test_golden_determinism.py --write``;
 * a *performance* change moves the numbers — never acceptable; the perf
@@ -22,24 +22,43 @@ transfer errors plus a host crash and rejoin.  Each case pins the record
 *and* the full ``StatRegistry`` snapshot, so link, switch-segment and
 DRAM counters (queue ns included) are held byte-identical too.
 
-Every pin is checked with the engine's fast lane on and with it off.
+Every record pin is checked with the engine's fast lane on and with it
+off.
+
+``tests/golden/trace_digests.json`` pins the inputs: the SHA-256 of every
+host stream of each registered workload, of ``synthetic_trace`` with the
+default :class:`SyntheticSpec` and of ``partitioned_split_trace``, all at
+tiny scale.  A generator that draws from an unseeded or global RNG, or
+from the clock, changes its digests from one process to the next, so the
+determinism contract the result cache relies on fails here.
 """
 
+import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
+import numpy as np
 import pytest
 
 from repro.config import FaultConfig, SystemConfig
 from repro.sim.harness import run_experiment
 from repro.sim.results import SimulationResult
 from repro.stats import StatRegistry
-from repro.workloads.trace import WorkloadScale
+from repro.workloads import (
+    SyntheticSpec,
+    generate,
+    partitioned_split_trace,
+    synthetic_trace,
+    workload_names,
+)
+from repro.workloads.trace import WorkloadScale, WorkloadTrace
 
 GOLDEN = Path(__file__).parent / "golden" / "core_records.json"
 FABRIC_GOLDEN = Path(__file__).parent / "golden" / "fabric_records.json"
+TRACE_GOLDEN = Path(__file__).parent / "golden" / "trace_digests.json"
 
 #: One (workload, scheme) per mechanism on the hot path: PIPM, the
 #: baseline CXL-DSM, kernel page migration, and a scheme that demotes
@@ -109,6 +128,26 @@ def _fabric_records(fast_lane=True):
     }
 
 
+#: Every trace generator, by the name its digests are pinned under.
+TRACE_SOURCES: Dict[str, Callable[[], WorkloadTrace]] = {
+    **{
+        name: partial(generate, name, scale=WorkloadScale.tiny())
+        for name in workload_names()
+    },
+    "synthetic": partial(
+        synthetic_trace, SyntheticSpec(), scale=WorkloadScale.tiny()
+    ),
+    "split-pages": partial(partitioned_split_trace, scale=WorkloadScale.tiny()),
+}
+
+
+def _stream_digests(trace: WorkloadTrace) -> List[str]:
+    return [
+        hashlib.sha256(np.ascontiguousarray(stream, dtype="<i8")).hexdigest()
+        for stream in trace.streams
+    ]
+
+
 def compare_records(
     current: Dict[str, Dict], golden: Dict[str, Dict]
 ) -> List[str]:
@@ -148,7 +187,7 @@ def _first_divergence(want: Dict, got: Dict) -> str:
 
 
 def write_goldens():
-    """Rewrite both pin files from this tree's runs."""
+    """Rewrite every pin file from this tree's runs and generators."""
     regenerate = (
         "regenerate: PYTHONPATH=src python "
         "tests/test_golden_determinism.py --write"
@@ -169,6 +208,20 @@ def write_goldens():
             "records": records,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = {
+        "comment": (
+            f"SHA-256 of each host stream ((n, 4) little-endian int64) "
+            f"per trace generator at tiny scale ({regenerate})"
+        ),
+        "scale": "tiny",
+        "digests": {
+            name: _stream_digests(source())
+            for name, source in TRACE_SOURCES.items()
+        },
+    }
+    TRACE_GOLDEN.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def test_records_match_golden_file():
@@ -232,8 +285,17 @@ def test_fabric_golden_exercises_fabric_and_faults():
     assert faulted["fault_link_retries"] > 0
 
 
+@pytest.mark.parametrize("name", sorted(TRACE_SOURCES))
+def test_trace_digests_match_golden_file(name):
+    """Each generator's streams are a pure function of name and scale."""
+    golden = json.loads(TRACE_GOLDEN.read_text())
+    assert golden["scale"] == "tiny"
+    assert name in golden["digests"], f"{name}: not pinned in the golden file"
+    assert _stream_digests(TRACE_SOURCES[name]()) == golden["digests"][name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden_determinism.py --write")
     write_goldens()
-    print(f"wrote {GOLDEN} and {FABRIC_GOLDEN}")
+    print(f"wrote {GOLDEN}, {FABRIC_GOLDEN} and {TRACE_GOLDEN}")

@@ -12,7 +12,6 @@ from repro.mem.address import FrameAllocator
 from repro.pipm.majority_vote import MajorityVote, VoteDecision
 from repro.pipm.remap_global import GlobalRemapEntry
 from repro.pipm.remap_local import LocalRemapEntry
-from repro.stats import Histogram
 
 lines = st.integers(min_value=0, max_value=1 << 20)
 ops = st.lists(
@@ -193,11 +192,3 @@ class TestUnitProperties:
         assert units.line_base(line) <= addr < units.line_base(line) + 64
         assert (units.page_base(page) + units.line_of_page(addr) * 64
                 == units.line_base(line))
-
-    @given(st.floats(min_value=0, max_value=1e6, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_histogram_mean_bounded_by_max(self, value):
-        h = Histogram(bucket_width=10)
-        h.record(value)
-        h.record(value / 2)
-        assert h.mean <= h.maximum + 1e-9

@@ -22,19 +22,28 @@ def test_non_lru_host_cache_rejected(cfg, monkeypatch):
     """The access path inlines LRU probes, so construction refuses any
     other replacement policy in a host cache."""
     import repro.host.host as host_module
-    from repro.cache.replacement import SrripPolicy
     from repro.cache.sa_cache import SetAssocCache
+
+    class FirstWayPolicy:
+        def on_hit(self, entry, tick):
+            pass
+
+        def on_fill(self, entry, tick):
+            pass
+
+        def victim(self, entries):
+            return next(iter(entries))
 
     real = host_module.cache_from_geometry
 
-    def srrip_llc(size_bytes, ways, line_bytes=64, name="cache"):
+    def stub_llc(size_bytes, ways, line_bytes=64, name="cache"):
         cache = real(size_bytes, ways, line_bytes, name)
         if not name.endswith(".llc"):
             return cache
         return SetAssocCache(cache.num_sets, cache.ways,
-                             policy=SrripPolicy(), name=name)
+                             policy=FirstWayPolicy(), name=name)
 
-    monkeypatch.setattr(host_module, "cache_from_geometry", srrip_llc)
+    monkeypatch.setattr(host_module, "cache_from_geometry", stub_llc)
     with pytest.raises(ValueError, match="h0.llc: host caches must use LRU"):
         make_system(cfg, "native")
 

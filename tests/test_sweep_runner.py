@@ -69,18 +69,6 @@ class TestSweepRunner:
         trace_files = list(TraceStore(tmp_path).traces_dir.glob("*.npz"))
         assert len(trace_files) == len(WORKLOADS)
 
-    def test_stats_aggregate_counter_vs_gauge(self, tmp_path):
-        specs = _matrix()
-        summary = SweepRunner(specs, tmp_path, workers=2).run()
-        assert summary.stats["sweep.runs"] == len(specs)
-        assert summary.stats["sweep.cache_hits"] == 0
-        # Gauges must not be multiplied by the number of merged workers:
-        # every run reports freq_ghz=4.0 and a merged *sum* would be 24.0.
-        assert summary.stats["freq_ghz"] == 4.0
-        assert 0.0 <= summary.stats["harmful_fraction"] <= 1.0
-        # Counters accumulate across workers.
-        assert summary.stats["pipm_promotions"] > 0
-
     def test_per_run_reports_carry_wall_clock_and_hit(self, tmp_path):
         spec = ExperimentSpec.build("pr", "native", scale=TINY)
         miss = run_spec(spec, tmp_path)

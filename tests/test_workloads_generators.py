@@ -111,14 +111,6 @@ class TestEveryGenerator:
         assert trace.total_instructions > trace.total_accesses
 
     @pytest.mark.parametrize("name", workload_names())
-    def test_deterministic(self, name):
-        a = generate(name, scale=SCALE)
-        b = generate(name, scale=SCALE)
-        assert len(a.streams) == len(b.streams)
-        for x, y in zip(a.streams, b.streams):
-            assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("name", workload_names())
     def test_stream_layout(self, all_traces, name):
         for stream in all_traces[name].streams:
             assert isinstance(stream, np.ndarray)
